@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's §5
 // evaluation (one benchmark per artifact, backed by the drivers in
-// internal/experiments), plus ablation benches for the design choices
-// DESIGN.md calls out and micro-benchmarks of the hot substrates.
+// internal/experiments), plus ablation benches for the main design
+// choices and micro-benchmarks of the hot substrates.
 //
 // The experiment benches run in Quick mode so `go test -bench=.`
 // finishes in minutes; `cmd/funcx-bench` runs the same drivers at full
@@ -21,6 +21,7 @@ import (
 	"funcx/internal/memo"
 	"funcx/internal/perf"
 	"funcx/internal/scale"
+	"funcx/internal/sdk"
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/store"
@@ -84,7 +85,7 @@ func BenchmarkFigure11Prefetching(b *testing.B) { runExperiment(b, "fig11") }
 // BenchmarkTable3Memoization regenerates Table 3.
 func BenchmarkTable3Memoization(b *testing.B) { runExperiment(b, "table3") }
 
-// --- ablations (DESIGN.md §5) ---
+// --- ablations ---
 
 // benchFabricEcho measures end-to-end task round trips through a
 // fabric with the given options applied.
@@ -122,7 +123,7 @@ func benchFabricEcho(b *testing.B, mutate func(*core.EndpointOptions)) {
 	}
 	// Warm the path.
 	for i := 0; i < 4; i++ {
-		id, err := client.Run(ctx, fnID, ep.ID, payload)
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func benchFabricEcho(b *testing.B, mutate func(*core.EndpointOptions)) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, err := client.Run(ctx, fnID, ep.ID, payload)
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload})
 		if err != nil {
 			b.Fatal(err)
 		}

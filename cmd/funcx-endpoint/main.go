@@ -86,7 +86,9 @@ func main() {
 		reg = resp
 		fmt.Printf("reattached endpoint %s\n", reg.EndpointID)
 	} else {
-		resp, err := client.RegisterEndpointLabeled(ctx, *name, "funcx-endpoint CLI", *public, labels)
+		resp, err := client.NewEndpoint(ctx, sdk.EndpointSpec{
+			Name: *name, Description: "funcx-endpoint CLI", Public: *public, Labels: labels,
+		})
 		if err != nil {
 			log.Fatalf("funcx-endpoint: registering: %v", err)
 		}

@@ -18,6 +18,7 @@ import (
 
 	"funcx/internal/core"
 	"funcx/internal/fx"
+	"funcx/internal/sdk"
 	"funcx/internal/service"
 	"funcx/internal/types"
 )
@@ -61,7 +62,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id, err := fc.Run(ctx, fnID, ep.ID, fx.SleepArgs(0.2))
+			id, _, err := fc.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: fx.SleepArgs(0.2)})
 			if err != nil {
 				log.Println("submit:", err)
 				return

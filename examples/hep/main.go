@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"funcx/internal/core"
+	"funcx/internal/sdk"
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/types"
@@ -144,7 +145,7 @@ func main() {
 				log.Println(err)
 				return
 			}
-			id, err := fc.Run(ctx, fnID, epID, payload)
+			id, _, err := fc.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: epID, Payload: payload})
 			if err != nil {
 				log.Println(err)
 				return

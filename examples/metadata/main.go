@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"funcx/internal/core"
+	"funcx/internal/sdk"
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/types"
@@ -153,7 +154,7 @@ func main() {
 					log.Println(err)
 					return
 				}
-				id, err := fc.Run(ctx, fnID, endpoints[site].ID, payload)
+				id, _, err := fc.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: endpoints[site].ID, Payload: payload})
 				if err != nil {
 					log.Println(err)
 					return

@@ -110,7 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	taskID, err := fc.Run(ctx, fnID, ep.ID, payload)
+	taskID, _, err := fc.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -156,14 +156,14 @@ func main() {
 		correct, n, time.Since(start).Round(time.Millisecond), len(h.TaskIDs))
 
 	// 3. Memoized repeat inference: identical input, cached result.
-	t1, err := fc.RunOpts(ctx, fnID, ep.ID, payload, sdk.RunOptions{Memoize: true})
+	t1, _, err := fc.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload, Memoize: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if _, err := fc.GetResult(ctx, t1); err != nil {
 		log.Fatal(err)
 	}
-	t2, err := fc.RunOpts(ctx, fnID, ep.ID, payload, sdk.RunOptions{Memoize: true})
+	t2, _, err := fc.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload, Memoize: true})
 	if err != nil {
 		log.Fatal(err)
 	}

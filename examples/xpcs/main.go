@@ -23,6 +23,7 @@ import (
 
 	"funcx/internal/core"
 	"funcx/internal/dataref"
+	"funcx/internal/sdk"
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/types"
@@ -153,7 +154,7 @@ func main() {
 				log.Println(err)
 				return
 			}
-			id, err := fc.Run(ctx, fnID, hpc.ID, payload)
+			id, _, err := fc.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: hpc.ID, Payload: payload})
 			if err != nil {
 				log.Println(err)
 				return

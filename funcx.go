@@ -27,11 +27,11 @@
 //	fc := fab.Client("me")
 //	fnID, _ := fc.RegisterFunction(ctx, "echo", funcx.BodyEcho, funcx.ContainerSpec{}, nil)
 //	payload, _ := funcx.Serialize("hello-world")
-//	taskID, _ := fc.Run(ctx, fnID, ep.ID, payload)
-//	res, _ := fc.GetResult(ctx, taskID)
+//	fut, _ := fc.SubmitFuture(ctx, funcx.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload})
+//	res, _ := fut.Get(ctx)
 //
 // See examples/ for complete programs mirroring the paper's case
-// studies, and DESIGN.md for the full system inventory.
+// studies.
 package funcx
 
 import (
@@ -56,9 +56,6 @@ func NewClient(baseURL, token string) *Client { return sdk.New(baseURL, token) }
 // Result is a completed task outcome returned by the SDK.
 type Result = sdk.Result
 
-// RunOptions modify a submission (memoization, batch payloads).
-type RunOptions = sdk.RunOptions
-
 // SubmitSpec describes one task submission for Client.Submit /
 // Client.SubmitFuture: a function, a target (endpoint or group), a
 // payload, and options.
@@ -71,9 +68,9 @@ type EndpointSpec = sdk.EndpointSpec
 type GroupSpec = sdk.GroupSpec
 
 // Future is a handle on a submitted task's eventual result, resolved
-// by the client's shared event-stream consumer (SSE with batch-wait
-// fallback): N outstanding futures cost one connection, not N
-// long-polls.
+// by the client's event-stream consumer (one SSE subscription, with
+// batched waits reconciling what the stream misses): N outstanding
+// futures cost one connection, not N requests.
 type Future = sdk.Future
 
 // MapFuture tracks one Map call's batch futures

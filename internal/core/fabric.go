@@ -28,6 +28,7 @@ import (
 	"funcx/internal/manager"
 	"funcx/internal/netlat"
 	"funcx/internal/provider"
+	"funcx/internal/registry"
 	"funcx/internal/sdk"
 	"funcx/internal/service"
 	"funcx/internal/types"
@@ -364,7 +365,10 @@ func (f *Fabric) AddGroup(opts GroupOptions) (*types.EndpointGroup, error) {
 	if opts.Owner == "" {
 		opts.Owner = "operator"
 	}
-	return f.Service.CreateGroupFull(opts.Owner, opts.Name, opts.Policy, opts.Public, opts.Members, opts.Elastic, opts.RetryBudget)
+	return f.Service.CreateGroup(opts.Owner, registry.GroupSpec{
+		Name: opts.Name, Policy: opts.Policy, Public: opts.Public,
+		Members: opts.Members, Elastic: opts.Elastic, RetryBudget: opts.RetryBudget,
+	})
 }
 
 // GroupOf is a convenience around AddGroup for the common case: group

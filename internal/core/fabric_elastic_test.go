@@ -8,6 +8,7 @@ import (
 	"funcx/internal/elastic"
 	"funcx/internal/fx"
 	"funcx/internal/provider"
+	"funcx/internal/sdk"
 	"funcx/internal/service"
 	"funcx/internal/types"
 )
@@ -103,7 +104,7 @@ func TestGroupAdviceScalesFleetOutAndBackIn(t *testing.T) {
 	const n = 12
 	ids := make([]types.TaskID, n)
 	for i := range ids {
-		id, _, err := client.RunAnywhere(ctx, fnID, g.ID, fx.SleepArgs(0.15))
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: g.ID, Payload: fx.SleepArgs(0.15)})
 		if err != nil {
 			t.Fatalf("RunAnywhere %d: %v", i, err)
 		}
@@ -162,7 +163,7 @@ func TestAdviceClampedByEndpointPolicy(t *testing.T) {
 	// 30 queued tasks → advice target 30, far beyond MaxBlocks 4.
 	ids := make([]types.TaskID, 30)
 	for i := range ids {
-		id, _, err := client.RunAnywhere(ctx, fnID, g.ID, fx.SleepArgs(0.1))
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: g.ID, Payload: fx.SleepArgs(0.1)})
 		if err != nil {
 			t.Fatalf("RunAnywhere: %v", err)
 		}
@@ -206,7 +207,7 @@ func TestNoAdviceEndpointKeepsLocalScaling(t *testing.T) {
 		t.Fatalf("RegisterFunction: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, _, err := client.RunAnywhere(ctx, fnID, g.ID, fx.SleepArgs(0.05)); err != nil {
+		if _, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: g.ID, Payload: fx.SleepArgs(0.05)}); err != nil {
 			t.Fatalf("RunAnywhere: %v", err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"funcx/internal/fx"
 	"funcx/internal/provider"
+	"funcx/internal/sdk"
 	"funcx/internal/types"
 )
 
@@ -39,7 +40,7 @@ func TestManagerFailureRecovery(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id, err := client.Run(ctx, fnID, ep.ID, fx.SleepArgs(30))
+			id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: fx.SleepArgs(30)})
 			if err != nil {
 				errs <- err
 				return
@@ -88,7 +89,7 @@ func TestEndpointDisconnectRecovery(t *testing.T) {
 
 	ep.Disconnect()
 	// Submit while offline: tasks wait in the reliable queue.
-	id, err := client.Run(ctx, fnID, ep.ID, []byte("01\nx"))
+	id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: []byte("01\nx")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestContainerRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := client.Run(ctx, fnID, ep.ID, []byte("01\nhello"))
+	id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: []byte("01\nhello")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestElasticityScalesOutAndIn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id, err := client.Run(ctx, fnID, ep.ID, fx.SleepArgs(50))
+			id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: fx.SleepArgs(50)})
 			if err != nil {
 				return
 			}
@@ -256,7 +257,7 @@ func TestPrivateEndpointRejectsStrangers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stranger.Run(ctx, fnID, ep.ID, nil); err == nil {
+	if _, _, err := stranger.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID}); err == nil {
 		t.Fatal("stranger dispatched to private endpoint")
 	}
 }

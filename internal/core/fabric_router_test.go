@@ -56,7 +56,7 @@ func TestRunAnywhereSpreadsAcrossGroup(t *testing.T) {
 	placed := map[types.EndpointID]int{}
 	ids := make([]types.TaskID, n)
 	for i := range ids {
-		id, epID, err := client.RunAnywhere(ctx, fnID, g.ID, payload)
+		id, epID, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: g.ID, Payload: payload})
 		if err != nil {
 			t.Fatalf("RunAnywhere %d: %v", i, err)
 		}
@@ -108,7 +108,7 @@ func TestGroupFailoverNoTaskLost(t *testing.T) {
 
 	// First half: build a backlog across the fleet.
 	for i := 0; i < n/2; i++ {
-		id, _, err := client.RunAnywhere(ctx, fnID, g.ID, args)
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: g.ID, Payload: args})
 		if err != nil {
 			t.Fatalf("RunAnywhere %d: %v", i, err)
 		}
@@ -120,7 +120,7 @@ func TestGroupFailoverNoTaskLost(t *testing.T) {
 
 	// Second half: the router must now avoid the dead endpoint.
 	for i := n / 2; i < n; i++ {
-		id, epID, err := client.RunAnywhere(ctx, fnID, g.ID, args)
+		id, epID, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: g.ID, Payload: args})
 		if err != nil {
 			t.Fatalf("RunAnywhere %d: %v", i, err)
 		}
@@ -244,10 +244,10 @@ func TestLabelAffinityPinsToMatchingEndpoint(t *testing.T) {
 	}
 	payload, _ := serial.Serialize("gpu-work")
 	for i := 0; i < 5; i++ {
-		_, epID, err := client.RunAnywhereOpts(ctx, fnID, g.ID, payload,
-			sdk.RunOptions{Labels: map[string]string{"arch": "gpu"}})
+		_, epID, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: g.ID, Payload: payload,
+			Labels: map[string]string{"arch": "gpu"}})
 		if err != nil {
-			t.Fatalf("RunAnywhereOpts %d: %v", i, err)
+			t.Fatalf("Submit %d: %v", i, err)
 		}
 		if epID != gpu.ID {
 			t.Fatalf("submission %d placed on %s, want gpu endpoint", i, epID)

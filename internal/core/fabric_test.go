@@ -51,7 +51,7 @@ func TestEndToEndEcho(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Serialize: %v", err)
 	}
-	taskID, err := client.Run(ctx, fnID, ep.ID, payload)
+	taskID, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestEndToEndManyTasks(t *testing.T) {
 	const n = 60
 	ids := make([]types.TaskID, n)
 	for i := range ids {
-		id, err := client.Run(ctx, fnID, ep.ID, fx.SleepArgs(0.001))
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: fx.SleepArgs(0.001)})
 		if err != nil {
 			t.Fatalf("Run %d: %v", i, err)
 		}
@@ -128,7 +128,7 @@ func TestFailedFunctionPropagatesTraceback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RegisterFunction: %v", err)
 	}
-	taskID, err := client.Run(ctx, fnID, ep.ID, nil)
+	taskID, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestMemoizationRoundTrip(t *testing.T) {
 	}
 
 	// First invocation executes.
-	id1, err := client.RunOpts(ctx, fnID, ep.ID, fx.SleepArgs(21), sdk.RunOptions{Memoize: true})
+	id1, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: fx.SleepArgs(21), Memoize: true})
 	if err != nil {
 		t.Fatalf("Run 1: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestMemoizationRoundTrip(t *testing.T) {
 	}
 
 	// Second identical invocation is served from cache.
-	id2, err := client.RunOpts(ctx, fnID, ep.ID, fx.SleepArgs(21), sdk.RunOptions{Memoize: true})
+	id2, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: fx.SleepArgs(21), Memoize: true})
 	if err != nil {
 		t.Fatalf("Run 2: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"funcx/internal/endpoint"
 	"funcx/internal/fx"
 	"funcx/internal/manager"
+	"funcx/internal/sdk"
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/types"
@@ -30,7 +31,7 @@ func TestTCPDeployment(t *testing.T) {
 	ctx := context.Background()
 
 	// Register via REST, exactly as funcx-endpoint does.
-	reg, err := client.RegisterEndpoint(ctx, "tcp-ep", "over the wire", false)
+	reg, err := client.NewEndpoint(ctx, sdk.EndpointSpec{Name: "tcp-ep", Description: "over the wire"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestTCPDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := client.Run(ctx, fnID, reg.EndpointID, payload)
+	id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: reg.EndpointID, Payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}

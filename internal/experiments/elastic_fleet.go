@@ -11,6 +11,7 @@ import (
 	"funcx/internal/fx"
 	"funcx/internal/metrics"
 	"funcx/internal/provider"
+	"funcx/internal/sdk"
 	"funcx/internal/service"
 	"funcx/internal/types"
 )
@@ -226,7 +227,7 @@ func elasticFleetRun(opts Options, advised bool, bursts, perBurst int) (*elastic
 	for b := 0; b < bursts; b++ {
 		for i := 0; i < perBurst; i++ {
 			submitted := time.Now()
-			id, _, err := client.RunAnywhere(ctx, fnID, group.ID, fx.SleepArgs(0.1))
+			id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: group.ID, Payload: fx.SleepArgs(0.1)})
 			if err != nil {
 				return nil, err
 			}

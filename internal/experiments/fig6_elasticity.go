@@ -10,6 +10,7 @@ import (
 	"funcx/internal/fx"
 	"funcx/internal/metrics"
 	"funcx/internal/provider"
+	"funcx/internal/sdk"
 	"funcx/internal/service"
 	"funcx/internal/types"
 )
@@ -121,7 +122,7 @@ func Figure6(opts Options) error {
 				wg.Add(1)
 				go func(d *deployment) {
 					defer wg.Done()
-					id, err := client.Run(ctx, d.fnID, d.ep.ID, fx.SleepArgs(d.def.seconds))
+					id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: d.fnID, Endpoint: d.ep.ID, Payload: fx.SleepArgs(d.def.seconds)})
 					if err != nil {
 						return
 					}

@@ -9,6 +9,7 @@ import (
 	"funcx/internal/core"
 	"funcx/internal/fx"
 	"funcx/internal/metrics"
+	"funcx/internal/sdk"
 	"funcx/internal/service"
 	"funcx/internal/types"
 )
@@ -79,7 +80,7 @@ loop:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				id, err := client.Run(ctx, fnID, ep.ID, args)
+				id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: args})
 				if err != nil {
 					return
 				}

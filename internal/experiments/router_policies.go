@@ -10,6 +10,7 @@ import (
 	"funcx/internal/fx"
 	"funcx/internal/metrics"
 	"funcx/internal/router"
+	"funcx/internal/sdk"
 	"funcx/internal/service"
 	"funcx/internal/types"
 )
@@ -116,7 +117,7 @@ func routerPolicyRun(opts Options, policy string, tasks int) (*routerRun, error)
 			eps[0].Disconnect() // kill the biggest endpoint mid-run
 		}
 		submitted := time.Now()
-		id, _, err := client.RunAnywhere(ctx, fnID, group.ID, args)
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Group: group.ID, Payload: args})
 		if err != nil {
 			return nil, err
 		}

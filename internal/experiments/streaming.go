@@ -25,8 +25,9 @@ func init() { register("streaming", Streaming) }
 // on one endpoint — is retrieved three ways and compared on HTTP
 // requests issued and result latency:
 //
-//	poll    one long-poll GET /v1/tasks/{id}/result per task (the
-//	        HPDC 2020 client), bounded fan-out
+//	poll    one blocking request per task, the HPDC 2020 client's
+//	        shape: GetResult per id (a single-id POST /v1/tasks/wait),
+//	        bounded fan-out
 //	wait    POST /v1/tasks/wait rounds: one blocking request carries
 //	        the whole outstanding set
 //	stream  futures resolved by one GET /v1/events SSE subscription
@@ -154,7 +155,7 @@ func streamingMode(opts Options, mode string, tasks, concurrency int) (*streamin
 		}
 	}
 	// Everything from here on — the SSE connection, the futures'
-	// catch-up batch waits, the wait rounds, the long-polls — is
+	// catch-up batch waits, the wait rounds, the per-task waits — is
 	// retrieval traffic.
 	retrievalStart := ct.n.Load()
 	var futures []*sdk.Future
@@ -185,8 +186,8 @@ func streamingMode(opts Options, mode string, tasks, concurrency int) (*streamin
 
 	switch mode {
 	case "poll":
-		// The HPDC 2020 client: one blocking GET per task, bounded
-		// fan-out so thousands of sockets do not pile up.
+		// The HPDC 2020 client's shape: one blocking request per task,
+		// bounded fan-out so thousands of sockets do not pile up.
 		sem := make(chan struct{}, concurrency)
 		errs := make(chan error, len(ids))
 		var wg sync.WaitGroup

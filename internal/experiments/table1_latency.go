@@ -71,7 +71,7 @@ type coreClient struct {
 // client-observed round-trip time and the server-side timing.
 func (c *coreClient) roundTrip(ctx context.Context, payload []byte) (time.Duration, types.Timing, error) {
 	start := time.Now()
-	id, err := c.Run(ctx, c.fnID, c.epID, payload)
+	id, _, err := c.Submit(ctx, sdk.SubmitSpec{Function: c.fnID, Endpoint: c.epID, Payload: payload})
 	if err != nil {
 		return 0, types.Timing{}, err
 	}

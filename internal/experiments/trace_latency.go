@@ -65,7 +65,7 @@ func TraceLatency(opts Options) error {
 
 	// Warm the path so container deploys don't skew the decomposition.
 	for i := 0; i < 3; i++ {
-		id, err := client.Run(ctx, fnID, ep.ID, payload)
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload})
 		if err != nil {
 			return err
 		}
@@ -85,7 +85,7 @@ func TraceLatency(opts Options) error {
 
 	for i := 0; i < n; i++ {
 		begin := time.Now()
-		id, err := client.Run(ctx, fnID, ep.ID, payload)
+		id, _, err := client.Submit(ctx, sdk.SubmitSpec{Function: fnID, Endpoint: ep.ID, Payload: payload})
 		if err != nil {
 			return err
 		}

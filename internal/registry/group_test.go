@@ -23,8 +23,8 @@ func groupFixture(t *testing.T) (*Registry, types.EndpointID, types.EndpointID) 
 
 func TestRegisterGroupRoundTrip(t *testing.T) {
 	r, ep1, ep2 := groupFixture(t)
-	g, err := r.RegisterGroup("alice", "fleet", "round-robin", false,
-		[]types.GroupMember{{EndpointID: ep1}, {EndpointID: ep2, Weight: 3}})
+	g, err := r.RegisterGroup("alice", GroupSpec{Name: "fleet", Policy: "round-robin",
+		Members: []types.GroupMember{{EndpointID: ep1}, {EndpointID: ep2, Weight: 3}}})
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}
@@ -48,29 +48,29 @@ func TestRegisterGroupRoundTrip(t *testing.T) {
 
 func TestRegisterGroupValidatesMembers(t *testing.T) {
 	r, ep1, _ := groupFixture(t)
-	if _, err := r.RegisterGroup("alice", "empty", "", false, nil); err == nil {
+	if _, err := r.RegisterGroup("alice", GroupSpec{Name: "empty"}); err == nil {
 		t.Fatal("empty group accepted")
 	}
-	if _, err := r.RegisterGroup("alice", "ghost", "", false,
-		[]types.GroupMember{{EndpointID: "no-such-ep"}}); !errors.Is(err, ErrNotFound) {
+	if _, err := r.RegisterGroup("alice", GroupSpec{Name: "ghost",
+		Members: []types.GroupMember{{EndpointID: "no-such-ep"}}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown member: err = %v, want ErrNotFound", err)
 	}
 	// bob cannot group alice's private endpoint.
-	if _, err := r.RegisterGroup("bob", "steal", "", false,
-		[]types.GroupMember{{EndpointID: ep1}}); !errors.Is(err, ErrForbidden) {
+	if _, err := r.RegisterGroup("bob", GroupSpec{Name: "steal",
+		Members: []types.GroupMember{{EndpointID: ep1}}}); !errors.Is(err, ErrForbidden) {
 		t.Fatalf("private member: err = %v, want ErrForbidden", err)
 	}
 }
 
 func TestAuthorizeGroupDispatch(t *testing.T) {
 	r, _, ep2 := groupFixture(t)
-	private, err := r.RegisterGroup("alice", "private", "", false,
-		[]types.GroupMember{{EndpointID: ep2}})
+	private, err := r.RegisterGroup("alice", GroupSpec{Name: "private",
+		Members: []types.GroupMember{{EndpointID: ep2}}})
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}
-	public, err := r.RegisterGroup("alice", "public", "", true,
-		[]types.GroupMember{{EndpointID: ep2}})
+	public, err := r.RegisterGroup("alice", GroupSpec{Name: "public", Public: true,
+		Members: []types.GroupMember{{EndpointID: ep2}}})
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}
@@ -87,8 +87,8 @@ func TestAuthorizeGroupDispatch(t *testing.T) {
 
 func TestAddGroupMembersOwnerOnly(t *testing.T) {
 	r, ep1, ep2 := groupFixture(t)
-	g, err := r.RegisterGroup("alice", "fleet", "", false,
-		[]types.GroupMember{{EndpointID: ep1}})
+	g, err := r.RegisterGroup("alice", GroupSpec{Name: "fleet",
+		Members: []types.GroupMember{{EndpointID: ep1}}})
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}
@@ -107,9 +107,9 @@ func TestAddGroupMembersOwnerOnly(t *testing.T) {
 
 func TestRegisterGroupDeduplicatesMembers(t *testing.T) {
 	r, ep1, ep2 := groupFixture(t)
-	g, err := r.RegisterGroup("alice", "dup", "", false, []types.GroupMember{
+	g, err := r.RegisterGroup("alice", GroupSpec{Name: "dup", Members: []types.GroupMember{
 		{EndpointID: ep1, Weight: 2}, {EndpointID: ep1}, {EndpointID: ep2},
-	})
+	}})
 	if err != nil {
 		t.Fatalf("RegisterGroup: %v", err)
 	}

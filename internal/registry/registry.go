@@ -402,26 +402,33 @@ func (r *Registry) EndpointCount() int {
 
 // --- endpoint groups ---
 
-// RegisterGroup stores a new endpoint group owned by owner. Every
-// member endpoint must exist and be dispatchable by the owner (owned
-// or public) — a group cannot grant access its creator lacks.
+// GroupSpec describes a new endpoint group.
+type GroupSpec struct {
+	// Name is the registered group name.
+	Name string
+	// Policy names the group's placement policy.
+	Policy string
+	// Public groups accept tasks from any authenticated user.
+	Public bool
+	// Members are the candidate endpoints.
+	Members []types.GroupMember
+	// Elastic, when set, opts the group into the fleet autoscaling
+	// controller.
+	Elastic *types.ElasticSpec
+	// RetryBudget is the per-task redelivery budget for tasks placed
+	// through the group that carry no budget of their own (0 = the
+	// service default).
+	RetryBudget int
+}
+
+// RegisterGroup stores a new endpoint group owned by owner. The
+// service validates and normalizes spec's policy and elasticity first.
+// Every member endpoint must exist and be dispatchable by the owner
+// (owned or public) — a group cannot grant access its creator lacks.
 // Duplicate members are collapsed (first occurrence wins) so a
 // repeated endpoint cannot skew placement.
-func (r *Registry) RegisterGroup(owner types.UserID, name, policy string, public bool, members []types.GroupMember) (*types.EndpointGroup, error) {
-	return r.RegisterGroupElastic(owner, name, policy, public, members, nil)
-}
-
-// RegisterGroupElastic is RegisterGroup with an optional elasticity
-// spec (already validated/normalized by the service) opting the group
-// into the fleet autoscaling controller.
-func (r *Registry) RegisterGroupElastic(owner types.UserID, name, policy string, public bool, members []types.GroupMember, elastic *types.ElasticSpec) (*types.EndpointGroup, error) {
-	return r.RegisterGroupFull(owner, name, policy, public, members, elastic, 0)
-}
-
-// RegisterGroupFull is RegisterGroupElastic plus the group's per-task
-// retry budget (0 = service default) applied to tasks placed through
-// the group that carry no budget of their own.
-func (r *Registry) RegisterGroupFull(owner types.UserID, name, policy string, public bool, members []types.GroupMember, elastic *types.ElasticSpec, retryBudget int) (*types.EndpointGroup, error) {
+func (r *Registry) RegisterGroup(owner types.UserID, spec GroupSpec) (*types.EndpointGroup, error) {
+	members := spec.Members
 	if len(members) == 0 {
 		return nil, errors.New("registry: group needs at least one member endpoint")
 	}
@@ -438,13 +445,13 @@ func (r *Registry) RegisterGroupFull(owner types.UserID, name, policy string, pu
 	}
 	g := &types.EndpointGroup{
 		ID:          r.mintGroupID(),
-		Name:        name,
+		Name:        spec.Name,
 		Owner:       owner,
-		Policy:      policy,
-		Public:      public,
+		Policy:      spec.Policy,
+		Public:      spec.Public,
 		Members:     deduped,
-		RetryBudget: retryBudget,
-		Elastic:     copyElastic(elastic),
+		RetryBudget: spec.RetryBudget,
+		Elastic:     copyElastic(spec.Elastic),
 		Registered:  r.now(),
 	}
 	r.mu.Lock()

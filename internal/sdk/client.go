@@ -1,11 +1,12 @@
 // Package sdk is the funcX client SDK of paper §3, redesigned
 // futures-first around the service's task-events API: a wrapper over
 // the REST surface providing RegisterFunction, Submit, futures
-// (SubmitFuture / RunFuture / MapFuture, resolved by one shared SSE
-// stream consumer per client with batch-wait fallback), batched
-// result gathering (GetResults over POST /v1/tasks/wait), and the
-// user-driven batching Map command (fmap, §4.7). The Go client still
-// mirrors the Python FuncXClient of Listing 1:
+// (SubmitFuture / RunFuture / MapFuture), result gathering
+// (GetResults / GetResult / TryResult), and the user-driven batching
+// Map command (fmap, §4.7). Results arrive by one resolution engine:
+// one SSE subscription per shard (GET /v1/events) plus batched waits
+// (POST /v1/tasks/wait) for everything the stream does not carry. The
+// Go client still mirrors the Python FuncXClient of Listing 1:
 //
 //	fc := sdk.New(serviceURL, token)
 //	defer fc.Close()
@@ -44,10 +45,6 @@ var ErrTaskFailed = errors.New("sdk: task failed")
 // typed error (it also matches ErrTaskFailed) instead of hanging.
 var ErrTaskLost = errors.New("sdk: task lost")
 
-// ErrUnsupported marks an API surface the server does not implement
-// (an older service); callers fall back to per-task paths.
-var ErrUnsupported = errors.New("sdk: not supported by server")
-
 // ErrClosed is returned by future-producing calls on a closed client,
 // and resolves any futures still pending at Close.
 var ErrClosed = errors.New("sdk: client closed")
@@ -60,12 +57,9 @@ type Client struct {
 	// Lat optionally injects WAN latency per request round trip
 	// (client-side of the Table 1 setup).
 	Lat *netlat.Link
-	// PollInterval is the spacing of result polls when the server
-	// cannot block (default 2 ms for in-process experiments).
-	PollInterval time.Duration
-	// WaitHint asks the server to block result retrievals up to this
-	// long per request (long-poll and batch-wait), reducing round
-	// trips.
+	// WaitHint asks the server to block each batch-wait request up to
+	// this long, reducing round trips. It also paces the futures'
+	// reconcile sweep (at most once a second).
 	WaitHint time.Duration
 
 	// mu guards the lazily started stream consumers behind futures:
@@ -85,10 +79,9 @@ type Client struct {
 // shard siblings count as different hosts.
 func New(baseURL, token string) *Client {
 	c := &Client{
-		baseURL:      baseURL,
-		token:        token,
-		PollInterval: 2 * time.Millisecond,
-		WaitHint:     30 * time.Second,
+		baseURL:  baseURL,
+		token:    token,
+		WaitHint: 30 * time.Second,
 	}
 	c.httpc = &http.Client{
 		Timeout: 10 * time.Minute,
@@ -127,14 +120,14 @@ func (c *Client) Close() {
 // do performs one authenticated JSON request/response cycle against
 // the front door, sleeping the WAN link in both directions when
 // configured.
-func (c *Client) do(ctx context.Context, method, path string, reqBody, respBody any) (int, error) {
+func (c *Client) do(ctx context.Context, method, path string, reqBody, respBody any) error {
 	return c.doAt(ctx, method, "", path, reqBody, respBody)
 }
 
 // doAt is do against an explicit shard base URL ("" = the front
-// door): the per-shard stream consumers keep their wait and poll
-// traffic on the shard that owns their tasks.
-func (c *Client) doAt(ctx context.Context, method, base, path string, reqBody, respBody any) (int, error) {
+// door): the per-shard stream consumers keep their wait traffic on the
+// shard that owns their tasks.
+func (c *Client) doAt(ctx context.Context, method, base, path string, reqBody, respBody any) error {
 	if base == "" {
 		base = c.baseURL
 	}
@@ -142,13 +135,13 @@ func (c *Client) doAt(ctx context.Context, method, base, path string, reqBody, r
 	if reqBody != nil {
 		b, err := json.Marshal(reqBody)
 		if err != nil {
-			return 0, fmt.Errorf("sdk: encoding request: %w", err)
+			return fmt.Errorf("sdk: encoding request: %w", err)
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
-		return 0, fmt.Errorf("sdk: building request: %w", err)
+		return fmt.Errorf("sdk: building request: %w", err)
 	}
 	req.Header.Set("Authorization", "Bearer "+c.token)
 	req.Header.Set("Content-Type", "application/json")
@@ -156,34 +149,34 @@ func (c *Client) doAt(ctx context.Context, method, base, path string, reqBody, r
 	c.Lat.Delay() // client -> service
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("sdk: %s %s: %w", method, path, err)
+		return fmt.Errorf("sdk: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	c.Lat.Delay() // service -> client
 
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return resp.StatusCode, fmt.Errorf("sdk: reading response: %w", err)
+		return fmt.Errorf("sdk: reading response: %w", err)
 	}
 	if resp.StatusCode >= 400 {
 		var e api.ErrorResponse
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("sdk: %s %s: %s (HTTP %d)", method, path, e.Error, resp.StatusCode)
+			return fmt.Errorf("sdk: %s %s: %s (HTTP %d)", method, path, e.Error, resp.StatusCode)
 		}
-		return resp.StatusCode, fmt.Errorf("sdk: %s %s: HTTP %d", method, path, resp.StatusCode)
+		return fmt.Errorf("sdk: %s %s: HTTP %d", method, path, resp.StatusCode)
 	}
 	if respBody != nil {
 		if err := json.Unmarshal(data, respBody); err != nil {
-			return resp.StatusCode, fmt.Errorf("sdk: decoding response: %w", err)
+			return fmt.Errorf("sdk: decoding response: %w", err)
 		}
 	}
-	return resp.StatusCode, nil
+	return nil
 }
 
 // RegisterFunction registers a function body, returning its id.
 func (c *Client) RegisterFunction(ctx context.Context, name string, body []byte, container types.ContainerSpec, sharedWith []types.UserID) (types.FunctionID, error) {
 	var resp api.RegisterFunctionResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/functions", api.RegisterFunctionRequest{
+	err := c.do(ctx, http.MethodPost, "/v1/functions", api.RegisterFunctionRequest{
 		Name: name, Body: body, Container: container, SharedWith: sharedWith,
 	}, &resp)
 	if err != nil {
@@ -194,13 +187,13 @@ func (c *Client) RegisterFunction(ctx context.Context, name string, body []byte,
 
 // UpdateFunction replaces a function body (owner only).
 func (c *Client) UpdateFunction(ctx context.Context, id types.FunctionID, body []byte) error {
-	_, err := c.do(ctx, http.MethodPut, "/v1/functions/"+string(id), api.UpdateFunctionRequest{Body: body}, nil)
+	err := c.do(ctx, http.MethodPut, "/v1/functions/"+string(id), api.UpdateFunctionRequest{Body: body}, nil)
 	return err
 }
 
 // ShareFunction shares a function with more users.
 func (c *Client) ShareFunction(ctx context.Context, id types.FunctionID, users ...types.UserID) error {
-	_, err := c.do(ctx, http.MethodPost, "/v1/functions/"+string(id)+"/share", api.ShareFunctionRequest{Users: users}, nil)
+	err := c.do(ctx, http.MethodPost, "/v1/functions/"+string(id)+"/share", api.ShareFunctionRequest{Users: users}, nil)
 	return err
 }
 
@@ -222,7 +215,7 @@ type EndpointSpec struct {
 // forwarder coordinates and agent token needed to start the agent.
 func (c *Client) NewEndpoint(ctx context.Context, spec EndpointSpec) (*api.RegisterEndpointResponse, error) {
 	var resp api.RegisterEndpointResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/endpoints", api.RegisterEndpointRequest{
+	err := c.do(ctx, http.MethodPost, "/v1/endpoints", api.RegisterEndpointRequest{
 		Name: spec.Name, Description: spec.Description, Public: spec.Public, Labels: spec.Labels,
 	}, &resp)
 	if err != nil {
@@ -239,25 +232,11 @@ func (c *Client) NewEndpoint(ctx context.Context, spec EndpointSpec) (*api.Regis
 // registration.
 func (c *Client) ReattachEndpoint(ctx context.Context, id types.EndpointID) (*api.RegisterEndpointResponse, error) {
 	var resp api.RegisterEndpointResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/endpoints/"+string(id)+"/reattach", struct{}{}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/endpoints/"+string(id)+"/reattach", struct{}{}, &resp)
 	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// RegisterEndpoint registers an endpoint.
-//
-// Deprecated: use NewEndpoint.
-func (c *Client) RegisterEndpoint(ctx context.Context, name, description string, public bool) (*api.RegisterEndpointResponse, error) {
-	return c.NewEndpoint(ctx, EndpointSpec{Name: name, Description: description, Public: public})
-}
-
-// RegisterEndpointLabeled registers an endpoint with capability labels.
-//
-// Deprecated: use NewEndpoint.
-func (c *Client) RegisterEndpointLabeled(ctx context.Context, name, description string, public bool, labels map[string]string) (*api.RegisterEndpointResponse, error) {
-	return c.NewEndpoint(ctx, EndpointSpec{Name: name, Description: description, Public: public, Labels: labels})
 }
 
 // GroupSpec describes an endpoint-group creation: a named fleet the
@@ -288,7 +267,7 @@ type GroupSpec struct {
 // NewGroup registers an endpoint group.
 func (c *Client) NewGroup(ctx context.Context, spec GroupSpec) (*types.EndpointGroup, error) {
 	var resp api.CreateGroupResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/groups", api.CreateGroupRequest{
+	err := c.do(ctx, http.MethodPost, "/v1/groups", api.CreateGroupRequest{
 		Name: spec.Name, Policy: spec.Policy, Public: spec.Public,
 		Members: spec.Members, RetryBudget: spec.RetryBudget, Elastic: spec.Elastic,
 	}, &resp)
@@ -298,27 +277,12 @@ func (c *Client) NewGroup(ctx context.Context, spec GroupSpec) (*types.EndpointG
 	return &resp.Group, nil
 }
 
-// CreateGroup registers an endpoint group.
-//
-// Deprecated: use NewGroup.
-func (c *Client) CreateGroup(ctx context.Context, name, policy string, public bool, members []types.GroupMember) (*types.EndpointGroup, error) {
-	return c.NewGroup(ctx, GroupSpec{Name: name, Policy: policy, Public: public, Members: members})
-}
-
-// CreateGroupElastic registers an endpoint group with an elasticity
-// spec.
-//
-// Deprecated: use NewGroup.
-func (c *Client) CreateGroupElastic(ctx context.Context, name, policy string, public bool, members []types.GroupMember, spec *types.ElasticSpec) (*types.EndpointGroup, error) {
-	return c.NewGroup(ctx, GroupSpec{Name: name, Policy: policy, Public: public, Members: members, Elastic: spec})
-}
-
 // GroupElasticity fetches a group's elasticity state: its spec plus
 // per-member live status and the latest scaling advice the controller
 // pushed to each member.
 func (c *Client) GroupElasticity(ctx context.Context, id types.GroupID) (*api.GroupElasticityResponse, error) {
 	var resp api.GroupElasticityResponse
-	_, err := c.do(ctx, http.MethodGet, "/v1/groups/"+string(id)+"/elasticity", nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/v1/groups/"+string(id)+"/elasticity", nil, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +292,7 @@ func (c *Client) GroupElasticity(ctx context.Context, id types.GroupID) (*api.Gr
 // AddGroupMembers appends endpoints to a group (owner only).
 func (c *Client) AddGroupMembers(ctx context.Context, id types.GroupID, members ...types.GroupMember) (*types.EndpointGroup, error) {
 	var resp api.CreateGroupResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/groups/"+string(id)+"/members", api.AddGroupMembersRequest{Members: members}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/groups/"+string(id)+"/members", api.AddGroupMembersRequest{Members: members}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +303,7 @@ func (c *Client) AddGroupMembers(ctx context.Context, id types.GroupID, members 
 // member endpoint.
 func (c *Client) GroupStatus(ctx context.Context, id types.GroupID) (*types.EndpointGroup, []types.EndpointStatus, error) {
 	var resp api.GroupStatusResponse
-	_, err := c.do(ctx, http.MethodGet, "/v1/groups/"+string(id), nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/v1/groups/"+string(id), nil, &resp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -349,23 +313,11 @@ func (c *Client) GroupStatus(ctx context.Context, id types.GroupID) (*types.Endp
 // EndpointStatus fetches endpoint health.
 func (c *Client) EndpointStatus(ctx context.Context, id types.EndpointID) (*types.EndpointStatus, error) {
 	var resp api.EndpointStatusResponse
-	_, err := c.do(ctx, http.MethodGet, "/v1/endpoints/"+string(id)+"/status", nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/v1/endpoints/"+string(id)+"/status", nil, &resp)
 	if err != nil {
 		return nil, err
 	}
 	return &resp.Status, nil
-}
-
-// RunOptions modify a submission.
-type RunOptions struct {
-	// Memoize opts into result caching (§4.7).
-	Memoize bool
-	// BatchN marks the payload as a packed batch of N argument
-	// buffers.
-	BatchN int
-	// Labels constrain group placement to endpoints carrying these
-	// labels (group submissions only).
-	Labels map[string]string
 }
 
 // SubmitSpec describes one task submission. Exactly one of Endpoint
@@ -411,8 +363,8 @@ type SubmitSpec struct {
 
 // Submit submits one task, returning its id and the endpoint it was
 // placed on (the request's endpoint echoed back, or the router's
-// choice for group targets). It is the single submission path behind
-// Run, RunAnywhere, and their futures variants.
+// choice for group targets). It is the single submission path: the
+// futures variants and Map batches go through it too.
 func (c *Client) Submit(ctx context.Context, spec SubmitSpec) (types.TaskID, types.EndpointID, error) {
 	resp, err := c.submit(ctx, spec)
 	if err != nil {
@@ -425,7 +377,7 @@ func (c *Client) Submit(ctx context.Context, spec SubmitSpec) (types.TaskID, typ
 // including the owner-shard hint futures pin their event streams to.
 func (c *Client) submit(ctx context.Context, spec SubmitSpec) (api.SubmitResponse, error) {
 	var resp api.SubmitResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/tasks", api.SubmitRequest{
+	err := c.do(ctx, http.MethodPost, "/v1/tasks", api.SubmitRequest{
 		FunctionID: spec.Function, EndpointID: spec.Endpoint, GroupID: spec.Group,
 		Payload: spec.Payload, Labels: spec.Labels,
 		Memoize: spec.Memoize, BatchN: spec.BatchN,
@@ -440,52 +392,10 @@ func (c *Client) submit(ctx context.Context, spec SubmitSpec) (api.SubmitRespons
 // only the shard behind the client's base URL.
 func (c *Client) Stats(ctx context.Context) (*api.StatsResponse, error) {
 	var resp api.StatsResponse
-	if _, err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Run invokes a registered function on an endpoint with serialized
-// args, returning the task id (asynchronous, paper §3).
-//
-// Deprecated: use Submit (or SubmitFuture / RunFuture for a result
-// handle).
-func (c *Client) Run(ctx context.Context, fnID types.FunctionID, epID types.EndpointID, payload []byte) (types.TaskID, error) {
-	id, _, err := c.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID, Payload: payload})
-	return id, err
-}
-
-// RunOpts is Run with options.
-//
-// Deprecated: use Submit.
-func (c *Client) RunOpts(ctx context.Context, fnID types.FunctionID, epID types.EndpointID, payload []byte, opts RunOptions) (types.TaskID, error) {
-	id, _, err := c.Submit(ctx, SubmitSpec{
-		Function: fnID, Endpoint: epID, Payload: payload,
-		Memoize: opts.Memoize, BatchN: opts.BatchN,
-	})
-	return id, err
-}
-
-// RunAnywhere submits a task to an endpoint *group*, letting the
-// service router pick the member endpoint by the group's placement
-// policy and live load. It returns the task id and the endpoint the
-// router chose.
-//
-// Deprecated: use Submit (or SubmitFuture / RunAnywhereFuture for a
-// result handle).
-func (c *Client) RunAnywhere(ctx context.Context, fnID types.FunctionID, gid types.GroupID, payload []byte) (types.TaskID, types.EndpointID, error) {
-	return c.Submit(ctx, SubmitSpec{Function: fnID, Group: gid, Payload: payload})
-}
-
-// RunAnywhereOpts is RunAnywhere with options.
-//
-// Deprecated: use Submit.
-func (c *Client) RunAnywhereOpts(ctx context.Context, fnID types.FunctionID, gid types.GroupID, payload []byte, opts RunOptions) (types.TaskID, types.EndpointID, error) {
-	return c.Submit(ctx, SubmitSpec{
-		Function: fnID, Group: gid, Payload: payload,
-		Labels: opts.Labels, Memoize: opts.Memoize, BatchN: opts.BatchN,
-	})
 }
 
 // RunBatchAnywhere submits many payloads of one function to a group
@@ -504,13 +414,14 @@ func (c *Client) RunValue(ctx context.Context, fnID types.FunctionID, epID types
 	if err != nil {
 		return "", err
 	}
-	return c.Run(ctx, fnID, epID, payload)
+	id, _, err := c.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID, Payload: payload})
+	return id, err
 }
 
 // RunBatch submits many tasks in one request.
 func (c *Client) RunBatch(ctx context.Context, reqs []api.SubmitRequest) ([]types.TaskID, error) {
 	var resp api.BatchSubmitResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/tasks/batch", api.BatchSubmitRequest{Tasks: reqs}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/tasks/batch", api.BatchSubmitRequest{Tasks: reqs}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -520,7 +431,7 @@ func (c *Client) RunBatch(ctx context.Context, reqs []api.SubmitRequest) ([]type
 // Status fetches a task's lifecycle state.
 func (c *Client) Status(ctx context.Context, id types.TaskID) (types.TaskStatus, error) {
 	var resp api.StatusResponse
-	_, err := c.do(ctx, http.MethodGet, "/v1/tasks/"+string(id), nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/v1/tasks/"+string(id), nil, &resp)
 	if err != nil {
 		return "", err
 	}
@@ -534,7 +445,7 @@ func (c *Client) Status(ctx context.Context, id types.TaskID) (types.TaskStatus,
 // tasks may report not found.
 func (c *Client) TaskTrace(ctx context.Context, id types.TaskID) (*api.TaskTraceResponse, error) {
 	var resp api.TaskTraceResponse
-	if _, err := c.do(ctx, http.MethodGet, "/v1/tasks/"+string(id)+"/trace", nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/tasks/"+string(id)+"/trace", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -563,61 +474,27 @@ func (r *Result) Value(out any) (any, error) {
 }
 
 // TryResult fetches a result without blocking; ErrNotReady when the
-// task is still running.
+// task is still running. It is one non-blocking batch wait over the
+// single id.
 func (c *Client) TryResult(ctx context.Context, id types.TaskID) (*Result, error) {
-	if res, ok := c.takeStashed(id); ok {
-		return res, nil
-	}
-	return c.result(ctx, id, 0)
-}
-
-// GetResult blocks until the task completes (or ctx is done), using
-// server-side long-polling plus client-side retry.
-func (c *Client) GetResult(ctx context.Context, id types.TaskID) (*Result, error) {
-	return c.getResultAt(ctx, "", id)
-}
-
-// getResultAt is GetResult against an explicit shard base URL.
-func (c *Client) getResultAt(ctx context.Context, base string, id types.TaskID) (*Result, error) {
-	for {
-		// An open event stream may have consumed the terminal event
-		// (purging the store copy): the stash is then the only copy.
-		if res, ok := c.takeStashed(id); ok {
-			return res, nil
-		}
-		res, err := c.resultAt(ctx, base, id, c.WaitHint)
-		if err == nil {
-			return res, nil
-		}
-		if !errors.Is(err, ErrNotReady) {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(c.PollInterval):
-		}
-	}
-}
-
-func (c *Client) result(ctx context.Context, id types.TaskID, wait time.Duration) (*Result, error) {
-	return c.resultAt(ctx, "", id, wait)
-}
-
-func (c *Client) resultAt(ctx context.Context, base string, id types.TaskID, wait time.Duration) (*Result, error) {
-	path := "/v1/tasks/" + string(id) + "/result"
-	if wait > 0 {
-		path += "?wait=" + wait.String()
-	}
-	var resp api.ResultResponse
-	status, err := c.doAt(ctx, http.MethodGet, base, path, nil, &resp)
+	done, _, err := c.WaitTasks(ctx, []types.TaskID{id}, 0)
 	if err != nil {
 		return nil, err
 	}
-	if status == http.StatusAccepted {
+	if len(done) == 0 {
 		return nil, ErrNotReady
 	}
-	return resultOf(resp), nil
+	return done[0], nil
+}
+
+// GetResult blocks until the task completes (or ctx is done): it is
+// GetResults over the single id.
+func (c *Client) GetResult(ctx context.Context, id types.TaskID) (*Result, error) {
+	res, err := c.GetResults(ctx, []types.TaskID{id})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // resultOf converts the wire result shape into the SDK shape.
@@ -648,8 +525,7 @@ const maxWaitIDs = 10000
 // overall deadline; a mid-batch failure returns the chunks already
 // gathered (their results were purged server-side on read and would
 // otherwise be lost) together with the error — callers must consume
-// the partial results even when err is non-nil. ErrUnsupported wraps
-// the error when the server predates the batch-wait API.
+// the partial results even when err is non-nil.
 func (c *Client) WaitTasks(ctx context.Context, ids []types.TaskID, wait time.Duration) ([]*Result, []types.TaskID, error) {
 	return c.waitTasksAt(ctx, "", ids, wait)
 }
@@ -703,11 +579,7 @@ func (c *Client) waitTasksOnce(ctx context.Context, base string, ids []types.Tas
 		req.Wait = wait.String()
 	}
 	var resp api.WaitTasksResponse
-	status, err := c.doAt(ctx, http.MethodPost, base, "/v1/tasks/wait", req, &resp)
-	if err != nil {
-		if status == http.StatusNotFound || status == http.StatusMethodNotAllowed {
-			err = fmt.Errorf("%w: %w", ErrUnsupported, err)
-		}
+	if err := c.doAt(ctx, http.MethodPost, base, "/v1/tasks/wait", req, &resp); err != nil {
 		return nil, nil, err
 	}
 	out := make([]*Result, len(resp.Results))
@@ -717,18 +589,20 @@ func (c *Client) waitTasksOnce(ctx context.Context, base string, ids []types.Tas
 	return out, resp.Pending, nil
 }
 
+// emptyRoundPause paces GetResults after a wait round that resolved
+// nothing (a server that answered early without blocking), so the
+// retry does not spin.
+const emptyRoundPause = 2 * time.Millisecond
+
 // GetResults collects results for many tasks, preserving input order.
 // The whole batch rides one blocking wait request per round instead
-// of one long-poll per task, so a slow task no longer serializes the
-// rest (and N-1 round trips are saved). Older servers without the
-// batch-wait API fall back to bounded-concurrency per-task long-polls.
+// of one request per task, so a slow task does not serialize the rest.
 func (c *Client) GetResults(ctx context.Context, ids []types.TaskID) ([]*Result, error) {
 	byID := make(map[types.TaskID]*Result, len(ids))
 	pending := make([]types.TaskID, 0, len(ids))
-	seen := make(map[types.TaskID]bool, len(ids))
 	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
+		if _, dup := byID[id]; !dup {
+			byID[id] = nil
 			pending = append(pending, id)
 		}
 	}
@@ -739,101 +613,21 @@ func (c *Client) GetResults(ctx context.Context, ids []types.TaskID) ([]*Result,
 		for _, res := range done {
 			byID[res.TaskID] = res
 		}
-		if errors.Is(err, ErrUnsupported) {
-			// Fan out over the deduped unresolved set (a duplicate id
-			// would hang against purge-on-read) and fill duplicates
-			// from the map below.
-			remaining := make([]types.TaskID, 0, len(pending))
-			for _, id := range pending {
-				if _, ok := byID[id]; !ok {
-					remaining = append(remaining, id)
-				}
-			}
-			got, ferr := c.getResultsFanOut(ctx, remaining)
-			if ferr != nil {
-				return nil, ferr
-			}
-			for _, res := range got {
-				byID[res.TaskID] = res
-			}
-			break
-		}
 		if err != nil {
 			return nil, err
 		}
 		pending = still
 		if len(pending) > 0 && len(done) == 0 {
-			// Nothing completed this round; pace the retry like
-			// GetResult does when the server cannot block.
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(c.PollInterval):
+			case <-time.After(emptyRoundPause):
 			}
 		}
 	}
 	out := make([]*Result, len(ids))
 	for i, id := range ids {
 		out[i] = byID[id]
-	}
-	return out, nil
-}
-
-// pollFanOutLimit bounds concurrent per-task long-polls on the
-// legacy-server fallback paths, so one slow task still cannot
-// serialize a batch while thousands of sockets do not pile up either.
-const pollFanOutLimit = 16
-
-// pollEach runs fn(i, id) for every id on a fixed worker pool (never
-// more goroutines than the concurrency bound, whatever the batch
-// size), skipping ids once ctx is done.
-func pollEach(ctx context.Context, ids []types.TaskID, fn func(i int, id types.TaskID)) {
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(pollFanOutLimit, len(ids)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i, ids[i])
-			}
-		}()
-	}
-feed:
-	for i := range ids {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-}
-
-// getResultsFanOut is the legacy-server fallback: per-task long-polls
-// with bounded concurrency, failing fast on the first error.
-func (c *Client) getResultsFanOut(ctx context.Context, ids []types.TaskID) ([]*Result, error) {
-	out := make([]*Result, len(ids))
-	errs := make(chan error, len(ids))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	pollEach(ctx, ids, func(i int, id types.TaskID) {
-		r, err := c.GetResult(ctx, id)
-		if err != nil {
-			errs <- err
-			cancel()
-			return
-		}
-		out[i] = r
-	})
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -865,24 +659,19 @@ func (h *MapHandle) Total() int {
 // that many near-even batches; otherwise islice-style slabs of
 // batchSize items are cut without evaluating the rest of the iterator.
 func (c *Client) Map(ctx context.Context, fnID types.FunctionID, epID types.EndpointID, items iter.Seq[any], batchSize, batchCount int) (*MapHandle, error) {
-	return c.mapInto(ctx, fnID, mapTarget{epID: epID}, items, batchSize, batchCount)
+	return c.mapInto(ctx, SubmitSpec{Function: fnID, Endpoint: epID}, items, batchSize, batchCount)
 }
 
 // MapAnywhere is Map with an endpoint-group target: each batch task
 // is placed independently by the service router, spreading the map
 // across the fleet by the group's policy.
 func (c *Client) MapAnywhere(ctx context.Context, fnID types.FunctionID, gid types.GroupID, items iter.Seq[any], batchSize, batchCount int) (*MapHandle, error) {
-	return c.mapInto(ctx, fnID, mapTarget{gid: gid}, items, batchSize, batchCount)
+	return c.mapInto(ctx, SubmitSpec{Function: fnID, Group: gid}, items, batchSize, batchCount)
 }
 
-// mapTarget names where map batches go: a pinned endpoint or a
-// router-placed group.
-type mapTarget struct {
-	epID types.EndpointID
-	gid  types.GroupID
-}
-
-func (c *Client) mapInto(ctx context.Context, fnID types.FunctionID, target mapTarget, items iter.Seq[any], batchSize, batchCount int) (*MapHandle, error) {
+// mapInto cuts items into batches and submits each one as target (a
+// spec naming the function and its pinned endpoint or group).
+func (c *Client) mapInto(ctx context.Context, target SubmitSpec, items iter.Seq[any], batchSize, batchCount int) (*MapHandle, error) {
 	if batchSize <= 0 {
 		batchSize = 1
 	}
@@ -909,7 +698,7 @@ func (c *Client) mapInto(ctx context.Context, fnID types.FunctionID, target mapT
 			if b < n%batchCount {
 				size++
 			}
-			if err := c.submitMapBatch(ctx, fnID, target, all[start:start+size], handle); err != nil {
+			if err := c.submitMapBatch(ctx, target, all[start:start+size], handle); err != nil {
 				return nil, err
 			}
 			start += size
@@ -923,7 +712,7 @@ func (c *Client) mapInto(ctx context.Context, fnID types.FunctionID, target mapT
 		if len(batch) == 0 {
 			return nil
 		}
-		err := c.submitMapBatch(ctx, fnID, target, batch, handle)
+		err := c.submitMapBatch(ctx, target, batch, handle)
 		batch = batch[:0]
 		return err
 	}
@@ -949,20 +738,13 @@ func (c *Client) mapInto(ctx context.Context, fnID types.FunctionID, target mapT
 
 // submitMapBatch packs serialized items into one batch task bound for
 // the map target (pinned endpoint or router-placed group).
-func (c *Client) submitMapBatch(ctx context.Context, fnID types.FunctionID, target mapTarget, items [][]byte, handle *MapHandle) error {
+func (c *Client) submitMapBatch(ctx context.Context, target SubmitSpec, items [][]byte, handle *MapHandle) error {
 	parts := make([]serial.Part, len(items))
 	for i, b := range items {
 		parts[i] = serial.Part{Tag: fmt.Sprintf("i%d", i), Body: b}
 	}
-	payload := serial.Pack(parts...)
-	opts := RunOptions{BatchN: len(items)}
-	var id types.TaskID
-	var err error
-	if target.gid != "" {
-		id, _, err = c.RunAnywhereOpts(ctx, fnID, target.gid, payload, opts)
-	} else {
-		id, err = c.RunOpts(ctx, fnID, target.epID, payload, opts)
-	}
+	target.Payload, target.BatchN = serial.Pack(parts...), len(items)
+	id, _, err := c.Submit(ctx, target)
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,6 @@ func testClient(t *testing.T) (*Client, *service.Service) {
 	t.Cleanup(srv.Close)
 	token := svc.MintUserToken("alice", auth.ScopeAll)
 	c := New(srv.URL, token)
-	c.PollInterval = time.Millisecond
 	c.WaitHint = 100 * time.Millisecond
 	return c, svc
 }
@@ -40,7 +39,7 @@ func fixture(t *testing.T, c *Client) (types.FunctionID, types.EndpointID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := c.RegisterEndpoint(ctx, "ep", "", false)
+	ep, err := c.NewEndpoint(ctx, EndpointSpec{Name: "ep"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestGetResultBlocksUntilReady(t *testing.T) {
 	c, svc := testClient(t)
 	fnID, epID := fixture(t, c)
 	ctx := context.Background()
-	id, err := c.Run(ctx, fnID, epID, nil)
+	id, _, err := c.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func TestGetResultBlocksUntilReady(t *testing.T) {
 func TestGetResultHonorsContext(t *testing.T) {
 	c, _ := testClient(t)
 	fnID, epID := fixture(t, c)
-	id, err := c.Run(context.Background(), fnID, epID, nil)
+	id, _, err := c.Submit(context.Background(), SubmitSpec{Function: fnID, Endpoint: epID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestTaskErrorSurfaces(t *testing.T) {
 	c, svc := testClient(t)
 	fnID, epID := fixture(t, c)
 	ctx := context.Background()
-	id, _ := c.Run(ctx, fnID, epID, nil)
+	id, _, _ := c.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
 	res := &types.Result{TaskID: id, Err: string(serial.EncodeError(errors.New("remote boom"), string(id)))}
 	svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
 
@@ -195,7 +194,7 @@ func TestShareFunctionAPI(t *testing.T) {
 	// endpoint — sharing functions and sharing endpoints are distinct.
 	bobToken := svc.MintUserToken("bob", auth.ScopeAll)
 	bob := New(c.baseURL, bobToken)
-	if _, err := bob.Run(ctx, fnID, epID, nil); err == nil {
+	if _, _, err := bob.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID}); err == nil {
 		t.Fatal("bob dispatched to a private endpoint")
 	}
 }

@@ -83,7 +83,7 @@ func (c *Client) SubmitDAG(ctx context.Context, nodes []api.DAGNodeSpec) (*DAGHa
 		return nil, err
 	}
 	var resp api.SubmitDAGResponse
-	if _, err := c.do(ctx, http.MethodPost, "/v1/dags", api.SubmitDAGRequest{Nodes: nodes}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/dags", api.SubmitDAGRequest{Nodes: nodes}, &resp); err != nil {
 		return nil, err
 	}
 	return &DAGHandle{
@@ -103,7 +103,7 @@ func (c *Client) DAGStatus(ctx context.Context, id types.DAGID) (*api.DAGStatusR
 
 func (c *Client) dagStatusAt(ctx context.Context, base string, id types.DAGID) (*api.DAGStatusResponse, error) {
 	var resp api.DAGStatusResponse
-	if _, err := c.doAt(ctx, http.MethodGet, base, "/v1/dags/"+string(id), nil, &resp); err != nil {
+	if err := c.doAt(ctx, http.MethodGet, base, "/v1/dags/"+string(id), nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -19,12 +19,13 @@ import (
 )
 
 // Future is a handle on one submitted task's eventual result. Futures
-// are resolved by the client's single shared stream consumer: one SSE
-// connection (GET /v1/events) carries every task's terminal event, so
-// N outstanding futures cost one HTTP request, not N long-polls. When
-// the server cannot stream, the consumer falls back to batched waits
-// (POST /v1/tasks/wait), and on servers with neither API to bounded
-// per-task long-polls — the future's surface is the same either way.
+// are resolved by the client's stream consumer for the task's shard:
+// one SSE connection (GET /v1/events) carries every task's terminal
+// event, so N outstanding futures cost one HTTP request, not N. A
+// reconcile loop on the same consumer covers what the stream cannot
+// carry (tasks that finished before the future registered, replay
+// gaps, a stream that is down) with batched non-blocking waits
+// (POST /v1/tasks/wait).
 type Future struct {
 	c    *Client
 	id   types.TaskID
@@ -108,12 +109,14 @@ func (c *Client) SubmitFuture(ctx context.Context, spec SubmitSpec) (*Future, er
 	return f, nil
 }
 
-// RunFuture is Run returning a future instead of a bare task id.
+// RunFuture submits a task pinned to an endpoint and returns a future
+// for its result.
 func (c *Client) RunFuture(ctx context.Context, fnID types.FunctionID, epID types.EndpointID, payload []byte) (*Future, error) {
 	return c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID, Payload: payload})
 }
 
-// RunAnywhereFuture is RunAnywhere returning a future.
+// RunAnywhereFuture submits a router-placed task to an endpoint group
+// and returns a future for its result.
 func (c *Client) RunAnywhereFuture(ctx context.Context, fnID types.FunctionID, gid types.GroupID, payload []byte) (*Future, error) {
 	return c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Group: gid, Payload: payload})
 }
@@ -123,9 +126,8 @@ func (c *Client) RunAnywhereFuture(ctx context.Context, fnID types.FunctionID, g
 // completed before attachment via a batched wait, so no completion is
 // lost to the registration race. The future rides the front-door
 // consumer; against a sharded service whose front door does not own
-// the task, resolution comes from the consumer's periodic batched
-// sweep (the gateway scatter-gathers the wait) rather than the event
-// stream.
+// the task, resolution comes from the reconcile loop's periodic sweep
+// (the gateway scatter-gathers the wait) rather than the event stream.
 func (c *Client) FutureOf(id types.TaskID) (*Future, error) {
 	st, err := c.ensureStreamer("")
 	if err != nil {
@@ -193,16 +195,15 @@ func (c *Client) mapFutureOf(h *MapHandle) (*MapFuture, error) {
 
 // --- the shared stream consumer ---
 
-// streamer is the per-client background consumer resolving futures:
-// one SSE subscription for all of the user's task events, with
-// automatic reconnect (Last-Event-ID resume), a batched-wait catch-up
-// for registration races and replay gaps, and a full batched-wait
-// fallback when the server cannot stream.
+// streamer is the per-shard background consumer resolving futures. It
+// runs two goroutines: streamLoop keeps one SSE subscription for all
+// of the user's task events alive (Last-Event-ID resume on reconnect),
+// and reconcileLoop resolves the rest with batched non-blocking waits.
 type streamer struct {
 	c *Client
 	// base is the shard base URL this consumer is pinned to ("" = the
-	// client's front door): its SSE subscription, batched waits, and
-	// fallback polls all target the shard that owns its tasks.
+	// client's front door): its SSE subscription and batched waits
+	// both target the shard that owns its tasks.
 	base   string
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -214,16 +215,8 @@ type streamer struct {
 	// freshly registered futures (their terminal event may predate
 	// the subscription) and everything pending after a replay gap.
 	verify map[types.TaskID]bool
-	// kick wakes the verifier; fbKick wakes the fallback engine. They
-	// are separate single-token channels because both loops run
-	// concurrently in fallback mode — a shared channel would let one
-	// loop swallow the other's wakeup and strand a future.
-	kick   chan struct{}
-	fbKick chan struct{}
-	// polling claims ids with a per-task long-poll in flight (the
-	// legacy-server last resort), so repeated resolution rounds never
-	// spawn duplicate polls for the same task.
-	polling map[types.TaskID]bool
+	// kick is a single-token channel waking the reconcile loop.
+	kick chan struct{}
 	// stash holds terminal results that arrived on the stream before
 	// their future registered. The server purges a result's store copy
 	// once its inline event is delivered on the owner's stream
@@ -260,44 +253,15 @@ func (c *Client) ensureStreamer(base string) (*streamer, error) {
 			c: c, base: base, ctx: ctx, cancel: cancel,
 			futures: make(map[types.TaskID]*Future),
 			verify:  make(map[types.TaskID]bool),
-			polling: make(map[types.TaskID]bool),
 			stash:   make(map[types.TaskID]*Result),
 			kick:    make(chan struct{}, 1),
-			fbKick:  make(chan struct{}, 1),
 		}
-		st.wg.Add(3)
+		st.wg.Add(2)
 		go st.streamLoop()
-		go st.verifyLoop()
-		go st.sweepLoop()
+		go st.reconcileLoop()
 		c.streamers[base] = st
 	}
 	return c.streamers[base], nil
-}
-
-// sweepLoop is the resolution safety net: while futures are pending it
-// periodically re-enqueues them all for a batched completion check.
-// It exists for terminal events this consumer's stream can never
-// carry — chiefly futures attached by id (FutureOf / batch ids) whose
-// tasks live on another shard, where the front door's scatter-gather
-// wait is the only path to the result.
-func (st *streamer) sweepLoop() {
-	defer st.wg.Done()
-	interval := max(st.c.WaitHint, time.Second)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-st.ctx.Done():
-			return
-		case <-ticker.C:
-			st.mu.Lock()
-			pending := len(st.futures) > 0
-			st.mu.Unlock()
-			if pending {
-				st.enqueueVerifyAll()
-			}
-		}
-	}
 }
 
 func (st *streamer) stop() {
@@ -326,7 +290,7 @@ func (st *streamer) register(f *Future) {
 	}
 	// Every registration is verified with a batched non-blocking
 	// wait: if the task completed before this point (even before the
-	// subscription existed), the verifier resolves it.
+	// subscription existed), the reconcile loop resolves it.
 	st.futures[f.id] = f
 	st.verify[f.id] = true
 	st.mu.Unlock()
@@ -336,10 +300,6 @@ func (st *streamer) register(f *Future) {
 func (st *streamer) wake() {
 	select {
 	case st.kick <- struct{}{}:
-	default:
-	}
-	select {
-	case st.fbKick <- struct{}{}:
 	default:
 	}
 }
@@ -363,7 +323,7 @@ func (st *streamer) resolveOrStash(id types.TaskID, res *Result) {
 		delete(st.futures, id)
 		delete(st.verify, id)
 	} else if _, dup := st.stash[id]; !dup {
-		// Pop stale order entries (ids already taken by a poll or a
+		// Pop stale order entries (ids already taken by a wait or a
 		// registration) before evicting a live one.
 		for len(st.stashOrder) >= stashCap {
 			victim := st.stashOrder[0]
@@ -383,11 +343,12 @@ func (st *streamer) resolveOrStash(id types.TaskID, res *Result) {
 }
 
 // takeStashed removes and returns a result the ack-on-stream purge
-// left only in a streamer's stash. The polling paths (TryResult,
-// GetResult, WaitTasks) consult it before going to the wire: once a
-// client holds an open event stream, terminal results for its user
-// ride that stream and their store copies are purged, so a poll that
-// ignored the stash would wait on a result the client already has.
+// left only in a streamer's stash. WaitTasks (and so TryResult,
+// GetResult and GetResults) consults it before going to the wire:
+// once a client holds an open event stream, terminal results for its
+// user ride that stream and their store copies are purged, so a wait
+// that ignored the stash would block on a result the client already
+// has.
 func (c *Client) takeStashed(id types.TaskID) (*Result, bool) {
 	c.mu.Lock()
 	sts := make([]*streamer, 0, len(c.streamers))
@@ -409,19 +370,8 @@ func (c *Client) takeStashed(id types.TaskID) (*Result, bool) {
 	return nil, false
 }
 
-// pendingIDs snapshots the unresolved future ids.
-func (st *streamer) pendingIDs() []types.TaskID {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ids := make([]types.TaskID, 0, len(st.futures))
-	for id := range st.futures {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // enqueueVerifyAll schedules a completion check for every pending
-// future (after a fresh subscription or a replay gap).
+// future (after a fresh subscription, a replay gap, or a sweep tick).
 func (st *streamer) enqueueVerifyAll() {
 	st.mu.Lock()
 	for id := range st.futures {
@@ -443,8 +393,9 @@ func (st *streamer) failAll(err error) {
 }
 
 // streamLoop keeps one SSE subscription alive, reconnecting with
-// Last-Event-ID after drops; when the server has no event stream it
-// degrades to the batched-wait engine for the client's lifetime.
+// Last-Event-ID after drops. Any failure to subscribe (including a
+// server without the stream) is retried with capped backoff; the
+// reconcile loop's sweep resolves futures meanwhile.
 func (st *streamer) streamLoop() {
 	defer st.wg.Done()
 	var lastSeq uint64
@@ -454,11 +405,7 @@ func (st *streamer) streamLoop() {
 			return
 		}
 		err := st.streamOnce(&lastSeq)
-		switch {
-		case st.ctx.Err() != nil:
-			return
-		case errors.Is(err, ErrUnsupported):
-			st.fallbackLoop()
+		if st.ctx.Err() != nil {
 			return
 		}
 		if err == nil {
@@ -505,8 +452,6 @@ func (st *streamer) streamOnce(lastSeq *uint64) error {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		return fmt.Errorf("%w: GET /v1/events: HTTP %d", ErrUnsupported, resp.StatusCode)
 	case http.StatusGone:
 		// Replay gap: resume impossible. Resubscribe from now and
 		// reconcile completions missed meanwhile via batched wait.
@@ -606,17 +551,26 @@ func resultFromWire(r *types.Result) *Result {
 	return res
 }
 
-// verifyLoop services registration catch-ups: it debounces bursts of
-// newly registered futures into one batched non-blocking wait, so a
-// future whose task completed before the subscription (or during a
-// replay gap) still resolves.
-func (st *streamer) verifyLoop() {
+// reconcileLoop resolves futures the stream has not: on each kick it
+// debounces a burst of queued ids (fresh registrations, replay gaps)
+// into one batched non-blocking wait, so a future whose task completed
+// before the subscription still resolves. Each sweep tick queues every
+// pending future, which covers terminal events this consumer's stream
+// can never carry (futures attached by id whose tasks live on another
+// shard, where the front door's scatter-gather wait is the only path)
+// and a stream that cannot be opened at all.
+func (st *streamer) reconcileLoop() {
 	defer st.wg.Done()
+	sweep := time.NewTicker(max(st.c.WaitHint, time.Second))
+	defer sweep.Stop()
 	backoff := 50 * time.Millisecond
 	for {
 		select {
 		case <-st.ctx.Done():
 			return
+		case <-sweep.C:
+			st.enqueueVerifyAll()
+			continue
 		case <-st.kick:
 		}
 		// Debounce: let a burst of registrations coalesce.
@@ -644,18 +598,6 @@ func (st *streamer) verifyLoop() {
 			st.resolveOrStash(res.TaskID, res)
 		}
 		if err != nil {
-			if errors.Is(err, ErrUnsupported) {
-				// No batch wait either: resolve these via bounded
-				// per-task long-polls, detached so one lost task's
-				// endless poll cannot wedge the loop for futures
-				// registered later.
-				st.wg.Add(1)
-				go func(ids []types.TaskID) {
-					defer st.wg.Done()
-					st.resolveByPolling(ids)
-				}(ids)
-				continue
-			}
 			// Retry the whole set on the next kick, backing off while
 			// the error persists (it may be permanent: revoked token,
 			// server fault).
@@ -674,101 +616,7 @@ func (st *streamer) verifyLoop() {
 			continue
 		}
 		backoff = 50 * time.Millisecond
-		// Ids still pending resolve through the stream (or the
-		// fallback engine) when their terminal event lands.
+		// Ids still pending resolve through the stream when their
+		// terminal event lands, or on a later sweep.
 	}
-}
-
-// fallbackLoop is the engine for servers without SSE: pending futures
-// are resolved by repeated batched waits, one blocking request per
-// round for the whole set.
-func (st *streamer) fallbackLoop() {
-	backoff := st.c.PollInterval
-	for {
-		ids := st.pendingIDs()
-		if len(ids) == 0 {
-			select {
-			case <-st.ctx.Done():
-				return
-			case <-st.fbKick:
-				continue
-			}
-		}
-		done, _, err := st.c.waitTasksAt(st.ctx, st.base, ids, st.c.WaitHint)
-		// Resolve partial results before the error: their server-side
-		// copies are already purged.
-		for _, res := range done {
-			st.resolveOrStash(res.TaskID, res)
-		}
-		if err != nil {
-			if errors.Is(err, ErrUnsupported) {
-				// Neither streaming nor batch wait: last-resort
-				// bounded per-task long-polls, detached so a lost
-				// task cannot wedge resolution for later futures.
-				st.wg.Add(1)
-				go func(ids []types.TaskID) {
-					defer st.wg.Done()
-					st.resolveByPolling(ids)
-				}(ids)
-				// Pace the next round: wake early for new
-				// registrations, otherwise re-offer pending ids after
-				// roughly one poll cycle (claimed ids are skipped).
-				select {
-				case <-st.ctx.Done():
-					return
-				case <-st.fbKick:
-				case <-time.After(st.c.WaitHint + st.c.PollInterval):
-				}
-				continue
-			}
-			select {
-			case <-st.ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
-			backoff = min(max(2*backoff, 10*time.Millisecond), 5*time.Second)
-			continue
-		}
-		backoff = st.c.PollInterval
-		if len(done) == 0 {
-			// Nothing completed this round (e.g. WaitHint 0 means the
-			// server cannot block): pace the retry like GetResults.
-			select {
-			case <-st.ctx.Done():
-				return
-			case <-time.After(st.c.PollInterval):
-			}
-		}
-	}
-}
-
-// resolveByPolling resolves the given futures with bounded-concurrency
-// per-task long-polls (legacy servers). Unlike getResultsFanOut it
-// does not fail fast: each future resolves independently, and ones
-// whose poll errors stay pending until Close fails them. Ids already
-// claimed by an in-flight poll are skipped, so callers may re-offer
-// the whole pending set every round without duplicating polls.
-func (st *streamer) resolveByPolling(ids []types.TaskID) {
-	st.mu.Lock()
-	mine := make([]types.TaskID, 0, len(ids))
-	for _, id := range ids {
-		if !st.polling[id] {
-			st.polling[id] = true
-			mine = append(mine, id)
-		}
-	}
-	st.mu.Unlock()
-	if len(mine) == 0 {
-		return
-	}
-	pollEach(st.ctx, mine, func(_ int, id types.TaskID) {
-		res, err := st.c.getResultAt(st.ctx, st.base, id)
-		st.mu.Lock()
-		delete(st.polling, id)
-		st.mu.Unlock()
-		if err != nil {
-			return // ctx canceled or transport down
-		}
-		st.resolveOrStash(id, res)
-	})
 }

@@ -2,13 +2,16 @@ package sdk
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
+	"funcx/internal/api"
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/types"
@@ -91,8 +94,7 @@ func TestFutureSurfacesRemoteFailure(t *testing.T) {
 	}
 }
 
-// sseless wraps a service with the event stream removed, simulating
-// an older server.
+// sseless wraps a service with the event stream removed.
 func sseless(t *testing.T, svc *service.Service) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -106,11 +108,13 @@ func sseless(t *testing.T, svc *service.Service) *httptest.Server {
 	return srv
 }
 
+// TestFutureFallsBackToBatchWait: with the event stream unavailable,
+// a future whose task completes after registration still resolves,
+// through the reconcile loop's batched waits.
 func TestFutureFallsBackToBatchWait(t *testing.T) {
 	c, svc := testClient(t)
 	srv := sseless(t, svc)
 	c2 := New(srv.URL, c.token)
-	c2.PollInterval = time.Millisecond
 	c2.WaitHint = 50 * time.Millisecond
 	t.Cleanup(c2.Close)
 	fnID, epID := fixture(t, c2)
@@ -131,6 +135,125 @@ func TestFutureFallsBackToBatchWait(t *testing.T) {
 	var s string
 	if _, err := res.Value(&s); err != nil || s != "fallback" {
 		t.Fatalf("value = %q, %v", s, err)
+	}
+}
+
+// waitRecorder is a transport that remembers every task id named in a
+// POST /v1/tasks/wait request.
+type waitRecorder struct {
+	mu   sync.Mutex
+	seen map[types.TaskID]bool
+}
+
+func (w *waitRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/tasks/wait" && r.GetBody != nil {
+		body, err := r.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		var req api.WaitTasksRequest
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			return nil, err
+		}
+		w.mu.Lock()
+		for _, id := range req.TaskIDs {
+			w.seen[id] = true
+		}
+		w.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+func (w *waitRecorder) waitedOn(id types.TaskID) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.seen[id]
+}
+
+// eventually polls cond until it holds or the test deadline nears.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStashServesResultsPurgedByStream: a terminal event that reaches
+// the client's stream before any future exists for its task is kept in
+// the stash. Once the server's stored copy is gone, FutureOf,
+// GetResult and WaitTasks must all be served from the stash, without a
+// wait request for the id.
+func TestStashServesResultsPurgedByStream(t *testing.T) {
+	c, svc := testClient(t)
+	rec := &waitRecorder{seen: make(map[types.TaskID]bool)}
+	c.WithHTTPClient(&http.Client{Transport: rec})
+	t.Cleanup(c.Close)
+	fnID, epID := fixture(t, c)
+	ctx := getCtx(t)
+
+	// Holding one future opens the client's event stream.
+	if _, err := c.SubmitFuture(ctx, SubmitSpec{Function: fnID, Endpoint: epID}); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the event stream to subscribe", func() bool { return svc.Events.Stats().Subscribers > 0 })
+
+	ids := make([]types.TaskID, 3)
+	for i := range ids {
+		id, _, err := c.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+		complete(svc, id, fmt.Sprintf("v%d", i))
+	}
+	st, err := c.ensureStreamer("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the terminal events to reach the stash", func() bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		for _, id := range ids {
+			if _, ok := st.stash[id]; !ok {
+				return false
+			}
+		}
+		return true
+	})
+	for _, id := range ids {
+		svc.Store.Hash("results").Del(string(id))
+	}
+
+	f, err := c.FutureOf(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res0, err := f.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res1, err := c.GetResult(ctx, ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, pending, err := c.WaitTasks(ctx, ids[2:], 0)
+	if err != nil || len(done) != 1 || len(pending) != 0 {
+		t.Fatalf("WaitTasks = %d done, %v pending, %v", len(done), pending, err)
+	}
+	for i, res := range []*Result{res0, res1, done[0]} {
+		var s string
+		if _, err := res.Value(&s); err != nil || s != fmt.Sprintf("v%d", i) || res.TaskID != ids[i] {
+			t.Fatalf("result %d = %s %q, %v", i, res.TaskID, s, err)
+		}
+	}
+	for _, id := range ids {
+		if rec.waitedOn(id) {
+			t.Fatalf("task %s was waited on over the wire; want it served from the stash", id)
+		}
 	}
 }
 
@@ -206,43 +329,6 @@ func TestGetResultsBatchWaitPreservesOrder(t *testing.T) {
 		}
 		if res.TaskID != ids[i] {
 			t.Fatalf("result %d out of order", i)
-		}
-	}
-}
-
-func TestGetResultsLegacyFanOut(t *testing.T) {
-	c, svc := testClient(t)
-	// A server with neither wait nor events: GetResults falls back to
-	// bounded per-task long-polls.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/tasks/wait" || r.URL.Path == "/v1/events" {
-			http.NotFound(w, r)
-			return
-		}
-		svc.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	legacy := New(srv.URL, c.token)
-	legacy.PollInterval = time.Millisecond
-	legacy.WaitHint = 50 * time.Millisecond
-	fnID, epID := fixture(t, legacy)
-	ctx := getCtx(t)
-	var ids []types.TaskID
-	for i := 0; i < 3; i++ {
-		id, err := legacy.Run(ctx, fnID, epID, []byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-		complete(svc, id, float64(i))
-	}
-	results, err := legacy.GetResults(ctx, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if v, err := res.Value(nil); err != nil || v.(float64) != float64(i) {
-			t.Fatalf("fan-out result %d = %v, %v", i, v, err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"funcx/internal/api"
 	"funcx/internal/auth"
+	"funcx/internal/registry"
 	"funcx/internal/shard"
 	"funcx/internal/types"
 )
@@ -244,9 +245,9 @@ func TestGatewayCrossShardGroupRejected(t *testing.T) {
 		t.Fatalf("registered endpoint not ring-aligned to its shard")
 	}
 	foreign := mintForeign(t, dir, types.NewEndpointID, shard.EndpointKey)
-	_, err = svc.CreateGroup("u1", "mixed", "", false, []types.GroupMember{
+	_, err = svc.CreateGroup("u1", registry.GroupSpec{Name: "mixed", Members: []types.GroupMember{
 		{EndpointID: ep.ID}, {EndpointID: foreign},
-	})
+	}})
 	if err == nil {
 		t.Fatal("cross-shard group accepted")
 	}

@@ -474,7 +474,10 @@ func (s *Service) handleCreateGroup(w http.ResponseWriter, r *http.Request) {
 	if len(req.Members) > 0 && s.routeByKey(w, r, shard.EndpointKey(req.Members[0].EndpointID), req) {
 		return
 	}
-	g, err := s.CreateGroupFull(claimsOf(r).Subject, req.Name, req.Policy, req.Public, req.Members, req.Elastic, req.RetryBudget)
+	g, err := s.CreateGroup(claimsOf(r).Subject, registry.GroupSpec{
+		Name: req.Name, Policy: req.Policy, Public: req.Public,
+		Members: req.Members, Elastic: req.Elastic, RetryBudget: req.RetryBudget,
+	})
 	if err != nil {
 		writeError(w, err)
 		return

@@ -720,28 +720,19 @@ func (s *Service) endpointLabels(id types.EndpointID) map[string]string {
 
 // CreateGroup registers an endpoint group after validating its
 // placement policy. Members must exist and be dispatchable by owner.
-func (s *Service) CreateGroup(owner types.UserID, name, policy string, public bool, members []types.GroupMember) (*types.EndpointGroup, error) {
-	return s.CreateGroupElastic(owner, name, policy, public, members, nil)
-}
-
-// CreateGroupElastic is CreateGroup with an optional elasticity spec:
-// a non-nil spec (validated and normalized here) opts the group into
-// the fleet autoscaling controller, which will push scaling advice to
-// member endpoints from the first evaluation after creation.
-func (s *Service) CreateGroupElastic(owner types.UserID, name, policy string, public bool, members []types.GroupMember, spec *types.ElasticSpec) (*types.EndpointGroup, error) {
-	return s.CreateGroupFull(owner, name, policy, public, members, spec, 0)
-}
-
-// CreateGroupFull is CreateGroupElastic plus the group's per-task
-// retry budget: tasks placed through the group that do not set their
-// own MaxRetries are redelivered at most retryBudget times before
-// landing as TaskLost (0 = the service default).
-func (s *Service) CreateGroupFull(owner types.UserID, name, policy string, public bool, members []types.GroupMember, spec *types.ElasticSpec, retryBudget int) (*types.EndpointGroup, error) {
-	p, err := router.ParsePolicy(policy)
+// A non-nil spec.Elastic (validated and normalized here) opts the
+// group into the fleet autoscaling controller, which pushes scaling
+// advice to member endpoints from the first evaluation after creation.
+// Tasks placed through the group that set no MaxRetries of their own
+// are redelivered at most spec.RetryBudget times before landing as
+// TaskLost (0 = the service default).
+func (s *Service) CreateGroup(owner types.UserID, spec registry.GroupSpec) (*types.EndpointGroup, error) {
+	p, err := router.ParsePolicy(spec.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
-	if len(members) == 0 {
+	spec.Policy = string(p)
+	if len(spec.Members) == 0 {
 		return nil, fmt.Errorf("%w: group needs at least one member endpoint", ErrInvalidRequest)
 	}
 	// Sharded: a group's routing, forwarders, and queues all live on
@@ -749,7 +740,7 @@ func (s *Service) CreateGroupFull(owner types.UserID, name, policy string, publi
 	// (Cross-shard groups are a recorded follow-on; the gateway routes
 	// group creation to the first member's owner shard.)
 	if s.cfg.Ring != nil {
-		for _, m := range members {
+		for _, m := range spec.Members {
 			if !s.cfg.Ring.Owns(shard.EndpointKey(m.EndpointID)) {
 				return nil, fmt.Errorf("%w: endpoint %s lives on shard %s, not %s; cross-shard group members are not supported",
 					ErrInvalidRequest, m.EndpointID,
@@ -757,20 +748,20 @@ func (s *Service) CreateGroupFull(owner types.UserID, name, policy string, publi
 			}
 		}
 	}
-	if retryBudget < 0 {
+	if spec.RetryBudget < 0 {
 		return nil, fmt.Errorf("%w: negative retry budget", ErrInvalidRequest)
 	}
-	if spec != nil {
-		normalized, err := elastic.ParseSpec(*spec)
+	if spec.Elastic != nil {
+		normalized, err := elastic.ParseSpec(*spec.Elastic)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
 		if normalized.AdviceTTL <= 0 {
 			normalized.AdviceTTL = 3 * s.cfg.HeartbeatPeriod
 		}
-		spec = &normalized
+		spec.Elastic = &normalized
 	}
-	return s.Registry.RegisterGroupFull(owner, name, string(p), public, members, spec, retryBudget)
+	return s.Registry.RegisterGroup(owner, spec)
 }
 
 // GroupElasticity reports a group's elasticity state: the group record
@@ -989,42 +980,14 @@ type Submission struct {
 	AtMostOnce bool
 }
 
-// Submit validates, stores, and enqueues one task, returning its id
-// and whether it was served from the memoization cache (paper Figure 3
-// steps 1–3). Kept as the concrete-endpoint convenience around
-// SubmitTask.
-func (s *Service) Submit(owner types.UserID, fnID types.FunctionID, epID types.EndpointID, payload []byte, memoize bool, batchN int) (types.TaskID, bool, error) {
-	id, _, memoized, err := s.SubmitTaskAt(owner, Submission{
-		FunctionID: fnID, EndpointID: epID, Payload: payload,
-		Memoize: memoize, BatchN: batchN,
-	}, time.Now())
-	return id, memoized, err
-}
-
-// SubmitAt is Submit with an explicit TS clock origin: the HTTP layer
-// passes the request arrival time so the TS component covers
-// authentication (paper Figure 4: "most funcX overhead is captured in
-// ts as a result of authentication").
-func (s *Service) SubmitAt(owner types.UserID, fnID types.FunctionID, epID types.EndpointID, payload []byte, memoize bool, batchN int, start time.Time) (types.TaskID, bool, error) {
-	id, _, memoized, err := s.SubmitTaskAt(owner, Submission{
-		FunctionID: fnID, EndpointID: epID, Payload: payload,
-		Memoize: memoize, BatchN: batchN,
-	}, start)
-	return id, memoized, err
-}
-
-// SubmitTask places one submission, returning the task id, the
+// SubmitTaskAt places one submission, returning the task id, the
 // endpoint it landed on, and whether it was served from the memo
-// cache.
-func (s *Service) SubmitTask(owner types.UserID, sub Submission) (types.TaskID, types.EndpointID, bool, error) {
-	return s.SubmitTaskAt(owner, sub, time.Now())
-}
-
-// SubmitTaskAt is SubmitTask with an explicit TS clock origin. For a
-// group target it authorizes the group, routes the task with the
-// group's placement policy over live endpoint health, and stamps the
-// task with its group so failover can re-route it if the chosen
-// endpoint dies before dispatch.
+// cache. start is the TS clock origin: the HTTP layer passes the
+// request arrival time so the TS component covers authentication
+// (paper Figure 4). For a group target it authorizes the group, routes
+// the task with the group's placement policy over live endpoint
+// health, and stamps the task with its group so failover can re-route
+// it if the chosen endpoint dies before dispatch.
 func (s *Service) SubmitTaskAt(owner types.UserID, sub Submission, start time.Time) (types.TaskID, types.EndpointID, bool, error) {
 	p, err := s.prepare(owner, sub)
 	if err != nil {
@@ -1318,10 +1281,12 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 		s.Trace.Drop(task.ID)
 		return "", "", false, fmt.Errorf("service: enqueue: %w", err)
 	}
-	s.log.Debug("task placed",
-		"task_id", string(task.ID), "endpoint_id", string(epID),
-		"group_id", string(sub.GroupID), "function_id", string(sub.FunctionID),
-		"trace_id", trace.TraceID(task.ID, p.dagID))
+	if s.log.Enabled(s.ctx, slog.LevelDebug) {
+		s.log.Debug("task placed",
+			"task_id", string(task.ID), "endpoint_id", string(epID),
+			"group_id", string(sub.GroupID), "function_id", string(sub.FunctionID),
+			"trace_id", trace.TraceID(task.ID, p.dagID))
+	}
 	return task.ID, epID, false, nil
 }
 
@@ -1676,9 +1641,11 @@ func (s *Service) onResultStored(field string, value []byte) {
 	if dagAfter != nil {
 		dagAfter()
 	}
-	s.log.Debug("task retired",
-		"task_id", string(id), "endpoint_id", string(info.endpoint), "status", string(status),
-		"trace_id", trace.TraceID(id, dagID))
+	if s.log.Enabled(s.ctx, slog.LevelDebug) {
+		s.log.Debug("task retired",
+			"task_id", string(id), "endpoint_id", string(info.endpoint), "status", string(status),
+			"trace_id", trace.TraceID(id, dagID))
+	}
 }
 
 // Status returns a task's lifecycle state.
