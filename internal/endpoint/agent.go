@@ -415,9 +415,7 @@ func (a *Agent) upstreamLoop(conn transport.Conn) {
 			if err != nil {
 				continue
 			}
-			for _, t := range ts {
-				a.enqueue(t)
-			}
+			a.enqueue(ts...)
 		case transport.MsgHeartbeat:
 			// Forwarder liveness: receipt is enough; our own
 			// heartbeats flow from heartbeatLoop.
@@ -449,17 +447,25 @@ func (a *Agent) upstreamLoop(conn transport.Conn) {
 	}
 }
 
-// enqueue accepts a task from upstream into the internal queue.
-func (a *Agent) enqueue(t *types.Task) {
-	if t.Attempt <= 0 {
-		t.Attempt = 1 // first execution attempt
-	}
+// enqueue accepts tasks from upstream into the internal queue, then
+// schedules once.
+func (a *Agent) enqueue(ts ...*types.Task) {
+	now := time.Now()
 	a.mu.Lock()
-	a.received++
-	a.queue = append(a.queue, t)
-	a.inflight[t.ID] = &inflightTask{task: t, arrived: time.Now()}
+	for _, t := range ts {
+		if t.Attempt <= 0 {
+			t.Attempt = 1 // first execution attempt
+		}
+		a.received++
+		a.queue = append(a.queue, t)
+		a.inflight[t.ID] = &inflightTask{task: t, arrived: now}
+	}
 	a.mu.Unlock()
-	a.log.Debug("task received", "task_id", string(t.ID), "function_id", string(t.FunctionID), "attempt", t.Attempt, "trace_id", traceIDOf(t))
+	if a.log.Enabled(a.ctx, slog.LevelDebug) {
+		for _, t := range ts {
+			a.log.Debug("task received", "task_id", string(t.ID), "function_id", string(t.FunctionID), "attempt", t.Attempt, "trace_id", traceIDOf(t))
+		}
+	}
 	a.schedule()
 }
 
@@ -742,13 +748,15 @@ func (a *Agent) schedule() {
 	a.mu.Lock()
 	byManager := make(map[types.ManagerID]*dispatch)
 	var order []types.ManagerID
-	var remaining []*types.Task
+	n := 0 // tasks taken from the head of the queue
 	for _, t := range a.queue {
 		st := a.pickManagerLocked(t)
 		if st == nil {
-			remaining = append(remaining, t)
-			continue
+			// No manager is eligible, and that does not depend on the
+			// task: the rest of the queue stays as it is, in order.
+			break
 		}
+		n++
 		st.budget--
 		if !a.cfg.BatchDispatch {
 			st.awaitingAdvert = true
@@ -762,7 +770,11 @@ func (a *Agent) schedule() {
 		}
 		d.tasks = append(d.tasks, t)
 	}
-	a.queue = remaining
+	if n > 0 {
+		rest := copy(a.queue, a.queue[n:])
+		clear(a.queue[rest:])
+		a.queue = a.queue[:rest]
+	}
 	for _, id := range order {
 		plan = append(plan, *byManager[id])
 	}

@@ -2,6 +2,8 @@ package endpoint
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -394,5 +396,104 @@ func TestMaxAttemptsGivesUp(t *testing.T) {
 	_, cmp, _ := a.Stats()
 	if cmp != 1 {
 		t.Fatalf("completed = %d", cmp)
+	}
+}
+
+// TestQueueKeepsFIFOWithoutCapacity checks the scheduler's early exit:
+// while no manager has budget, every arriving task stays queued in
+// arrival order, and one capacity advert then dispatches the whole
+// backlog in that order.
+func TestQueueKeepsFIFOWithoutCapacity(t *testing.T) {
+	const n = 50
+	ff := newFakeForwarder(t)
+	a := New(Config{
+		ID: "ep-1", ServiceNetwork: "inproc", ServiceAddr: ff.ln.Addr(),
+		BatchDispatch: true, HeartbeatPeriod: 10 * time.Second,
+	})
+	if err := a.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Stop)
+	<-ff.accepted
+
+	// A registered manager that has not advertised capacity yet.
+	network, addr := a.ManagerAddr()
+	mgr, err := transport.Dial(network, addr, "fifo-mgr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	reg := wire.EncodeRegistration(&wire.Registration{ManagerID: "fifo-mgr", Workers: n})
+	if err := mgr.Send(transport.Message{Type: transport.MsgRegister, Payload: reg}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); a.ManagerCount() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("manager did not register")
+		}
+	}
+
+	// Half the tasks arrive one by one, the rest as one batch.
+	var want []types.TaskID
+	var batch []*types.Task
+	for i := 0; i < n; i++ {
+		id := types.TaskID(fmt.Sprintf("t%02d", i))
+		want = append(want, id)
+		if i < n/2 {
+			sendTask(t, ff, id, "h", nil)
+		} else {
+			batch = append(batch, &types.Task{ID: id, BodyHash: "h"})
+		}
+	}
+	if err := ff.conn.Send(transport.Message{Type: transport.MsgTaskBatch, Payload: wire.EncodeTasks(batch)}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); a.QueueDepth() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", a.QueueDepth(), n)
+		}
+	}
+	a.mu.Lock()
+	var queued []types.TaskID
+	for _, task := range a.queue {
+		queued = append(queued, task.ID)
+	}
+	a.mu.Unlock()
+	if !reflect.DeepEqual(queued, want) {
+		t.Fatalf("queue order = %v, want %v", queued, want)
+	}
+
+	capacity := wire.EncodeCapacity(&types.Capacity{ManagerID: "fifo-mgr", Slots: n, Total: n})
+	if err := mgr.Send(transport.Message{Type: transport.MsgCapacity, Payload: capacity}); err != nil {
+		t.Fatal(err)
+	}
+	var got []types.TaskID
+	for len(got) < n {
+		msg, err := mgr.Recv(5 * time.Second)
+		if err != nil {
+			t.Fatalf("after %d of %d dispatched tasks: %v", len(got), n, err)
+		}
+		var ts []*types.Task
+		switch msg.Type {
+		case transport.MsgTask:
+			task, err := wire.DecodeTask(msg.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts = []*types.Task{task}
+		case transport.MsgTaskBatch:
+			if ts, err = wire.DecodeTasks(msg.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, task := range ts {
+			got = append(got, task.ID)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatch order = %v, want %v", got, want)
+	}
+	if d := a.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth after dispatch = %d, want 0", d)
 	}
 }

@@ -1,13 +1,19 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"funcx/internal/api"
 	"funcx/internal/auth"
+	"funcx/internal/store"
+	"funcx/internal/types"
+	"funcx/internal/wal"
 )
 
 // TestReattachAfterRecovery drives the operator story the reattach
@@ -77,5 +83,91 @@ func TestReattachAfterRecovery(t *testing.T) {
 	if code := doJSON(t, srv2, alice2, http.MethodPost,
 		"/v1/endpoints/nope/reattach", struct{}{}, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown endpoint reattach = %d, want 404", code)
+	}
+}
+
+// TestJSONEraTaskRecordsRecoverAsLost restarts a durable service on a
+// journal written before tasks were framed in binary: its task records
+// and queue entries are JSON. Every such task must resolve as TaskLost
+// instead of hanging, and its undecodable lease must be dropped, never
+// requeued for an agent.
+func TestJSONEraTaskRecordsRecoverAsLost(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: dir}
+
+	svc1, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	srv1 := httptest.NewServer(svc1)
+	var reg api.RegisterEndpointResponse
+	if code := doJSON(t, srv1, svc1.MintUserToken("alice", auth.ScopeAll), http.MethodPost, "/v1/endpoints",
+		api.RegisterEndpointRequest{Name: "ep1"}, &reg); code != http.StatusCreated {
+		t.Fatalf("register = %d", code)
+	}
+	srv1.Close()
+	svc1.Close()
+
+	// Journal two JSON-era tasks with the service down: one dispatched
+	// (its queue entry leased), one still queued.
+	frame := func(id string) []byte {
+		return []byte(`{"task_id":"` + id + `","function_id":"fn-1","endpoint_id":"` + string(reg.EndpointID) +
+			`","owner":"alice","container":{},"payload":"eA==","attempt":1}`)
+	}
+	log, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.NewPersistent(log, store.PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := st.Queue(store.TaskQueueName(string(reg.EndpointID)))
+	for id, status := range map[string]types.TaskStatus{"t-leased": types.TaskDispatched, "t-queued": types.TaskQueued} {
+		st.Hash(ownersHash).Set(id, []byte("alice"))
+		st.Hash(tasksHash).Set(id, frame(id))
+		st.Hash(statusHash).Set(id, []byte(status))
+	}
+	if err := q.Push(frame("t-leased")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := q.TryPopReliable(); !ok {
+		t.Fatal("could not lease the JSON-era task")
+	}
+	if err := q.Push(frame("t-queued")); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	svc2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer svc2.Close()
+	// The forwarder's orphan scan may briefly lease (then drop) the
+	// queued JSON frame, so only the recovered lease is checked.
+	q = svc2.Store.Queue(store.TaskQueueName(string(reg.EndpointID)))
+	for _, item := range q.Pending() {
+		if bytes.Equal(item, frame("t-leased")) {
+			t.Fatal("the undecodable lease survived recovery")
+		}
+	}
+	for _, item := range q.Items() {
+		if bytes.Equal(item, frame("t-leased")) {
+			t.Fatal("the undecodable lease was requeued")
+		}
+	}
+	ids := []types.TaskID{"t-leased", "t-queued"}
+	results, pending := svc2.WaitTasks(context.Background(), ids, 5*time.Second)
+	if len(pending) != 0 || len(results) != len(ids) {
+		t.Fatalf("results %d, pending %v; want every task resolved", len(results), pending)
+	}
+	for _, res := range results {
+		if !res.Lost || !strings.Contains(res.Err, "task record corrupt after crash") {
+			t.Fatalf("result %+v, want lost with a corrupt-record error", res)
+		}
+		if status, _ := svc2.Store.Hash(statusHash).Get(string(res.TaskID)); types.TaskStatus(status) != types.TaskLost {
+			t.Fatalf("%s status = %s, want %s", res.TaskID, status, types.TaskLost)
+		}
 	}
 }

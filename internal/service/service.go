@@ -1313,9 +1313,10 @@ func (s *Service) onResult(res *types.Result) {
 	s.Trace.Stamp(res.TaskID, trace.StageResult)
 	s.Trace.Remote(res.TaskID, res.Trace)
 
-	// Feed the memoization cache when the task opted in.
-	if data, ok := s.Store.Hash(tasksHash).Get(string(res.TaskID)); ok {
-		if task, err := wire.DecodeTask(data); err == nil && task.Memoize {
+	// Feed the memoization cache when the task opted in; the header
+	// says so without decoding the stored task.
+	if data, ok := s.Store.Hash(tasksHash).Get(string(res.TaskID)); ok && wire.TaskMemoize(data) {
+		if task, err := wire.DecodeTask(data); err == nil {
 			s.Memo.Store(task.BodyHash, task.Payload, *res)
 		}
 	}
@@ -1362,14 +1363,7 @@ func (s *Service) onDispatched(task *types.Task) {
 // terminalStatusOf maps a stored result to the terminal status it
 // retires its task with.
 func terminalStatusOf(res *types.Result) types.TaskStatus {
-	switch {
-	case res.Lost:
-		return types.TaskLost
-	case res.Failed():
-		return types.TaskFailed
-	default:
-		return types.TaskSuccess
-	}
+	return types.TerminalStatus(res.Lost, res.Failed())
 }
 
 // onRunning runs in the forwarder when the agent relays a worker's
@@ -1610,8 +1604,8 @@ func (s *Service) onResultStored(field string, value []byte) {
 		return
 	}
 	status := types.TaskSuccess
-	if res, err := wire.DecodeResult(value); err == nil {
-		status = terminalStatusOf(res)
+	if st, err := wire.ResultStatus(value); err == nil {
+		status = st
 	}
 	// Ensure the status record is terminal even when the result was
 	// written without passing through onResult — and when a terminal

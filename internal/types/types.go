@@ -304,6 +304,19 @@ type Result struct {
 // Failed reports whether the result carries an execution error.
 func (r *Result) Failed() bool { return r.Err != "" }
 
+// TerminalStatus maps a result's lost and failed marks to its task's
+// terminal status; lost wins over failed.
+func TerminalStatus(lost, failed bool) TaskStatus {
+	switch {
+	case lost:
+		return TaskLost
+	case failed:
+		return TaskFailed
+	default:
+		return TaskSuccess
+	}
+}
+
 // Timing is the per-hop latency breakdown of one task, mirroring the
 // instrumentation of paper Figure 4:
 //

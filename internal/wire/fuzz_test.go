@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"funcx/internal/types"
 )
 
 // codecs pairs each wire decoder with its re-encoder, closed over the
@@ -12,74 +14,77 @@ import (
 // encode(decode(encode(decode(x)))) == encode(decode(x)). A frame
 // that survives one hop therefore survives every hop unchanged —
 // the property the forwarder/agent/manager relay chain relies on.
+// The binary codecs are canonical outright: every frame they accept
+// re-encodes to exactly its own bytes.
 var codecs = []struct {
 	name      string
+	binary    bool
 	roundTrip func([]byte) ([]byte, bool)
 }{
-	{"task", func(b []byte) ([]byte, bool) {
+	{"task", true, func(b []byte) ([]byte, bool) {
 		t, err := DecodeTask(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeTask(t), true
 	}},
-	{"tasks", func(b []byte) ([]byte, bool) {
+	{"tasks", true, func(b []byte) ([]byte, bool) {
 		ts, err := DecodeTasks(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeTasks(ts), true
 	}},
-	{"result", func(b []byte) ([]byte, bool) {
+	{"result", true, func(b []byte) ([]byte, bool) {
 		r, err := DecodeResult(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeResult(r), true
 	}},
-	{"registration", func(b []byte) ([]byte, bool) {
+	{"registration", false, func(b []byte) ([]byte, bool) {
 		r, err := DecodeRegistration(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeRegistration(r), true
 	}},
-	{"capacity", func(b []byte) ([]byte, bool) {
+	{"capacity", false, func(b []byte) ([]byte, bool) {
 		c, err := DecodeCapacity(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeCapacity(c), true
 	}},
-	{"advice", func(b []byte) ([]byte, bool) {
+	{"advice", false, func(b []byte) ([]byte, bool) {
 		a, err := DecodeAdvice(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeAdvice(a), true
 	}},
-	{"taskstart", func(b []byte) ([]byte, bool) {
+	{"taskstart", false, func(b []byte) ([]byte, bool) {
 		s, err := DecodeTaskStart(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeTaskStart(s), true
 	}},
-	{"event", func(b []byte) ([]byte, bool) {
+	{"event", false, func(b []byte) ([]byte, bool) {
 		e, err := DecodeEvent(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeEvent(e), true
 	}},
-	{"dag", func(b []byte) ([]byte, bool) {
+	{"dag", false, func(b []byte) ([]byte, bool) {
 		g, err := DecodeDAG(b)
 		if err != nil {
 			return nil, false
 		}
 		return EncodeDAG(g), true
 	}},
-	{"status", func(b []byte) ([]byte, bool) {
+	{"status", false, func(b []byte) ([]byte, bool) {
 		s, err := DecodeStatus(b)
 		if err != nil {
 			return nil, false
@@ -110,6 +115,18 @@ func FuzzDecode(f *testing.F) {
 			}
 			if !bytes.Equal(enc1, enc2) {
 				t.Fatalf("%s: round trip is not a fixed point:\n first %q\nsecond %q", c.name, enc1, enc2)
+			}
+			if c.binary && !bytes.Equal(data, enc1) {
+				t.Fatalf("%s: accepted a non-canonical frame:\n input %q\nre-enc %q", c.name, data, enc1)
+			}
+		}
+		// The header peeks agree with a full decode.
+		if task, err := DecodeTask(data); err == nil && TaskMemoize(data) != task.Memoize {
+			t.Fatalf("TaskMemoize = %v, decoded Memoize = %v", !task.Memoize, task.Memoize)
+		}
+		if res, err := DecodeResult(data); err == nil {
+			if st, err := ResultStatus(data); err != nil || st != types.TerminalStatus(res.Lost, res.Failed()) {
+				t.Fatalf("ResultStatus = %q, %v for decoded %+v", st, err, res)
 			}
 		}
 	})

@@ -1,8 +1,37 @@
-// Package wire defines the JSON codecs for the control-plane records
-// exchanged between the funcX service, forwarders, endpoint agents,
-// and managers. Task payloads and results remain opaque serialized
-// buffers (see internal/serial); wire only frames the records around
-// them.
+// Package wire defines the codecs for the records exchanged between
+// the funcX service, forwarders, endpoint agents, and managers. Task
+// payloads and results remain opaque serialized buffers (see
+// internal/serial); wire only frames the records around them.
+//
+// Tasks, task batches and results, which cross every hop of every
+// task, use a hand-rolled binary frame. A frame opens with a version
+// byte naming the record kind and layout (0xF1 task, 0xF2 batch, 0xF3
+// result; never '{' or '[', so a JSON frame is rejected), a flags byte
+// for a task or result, then varints (zigzag for signed fields) and
+// length-prefixed fields:
+//
+//	task   = 0xF1 flags strtab batch_n attempt max_retries walltime submitted payload
+//	         flags: memoize, at-most-once, traced, sampled
+//	batch  = 0xF2 count {len task}
+//	result = 0xF3 flags strtab error completed ts tf te tw [exec manager_queue agent_queue] output
+//	         flags: failed, lost, memoized, traced (the deltas follow only when traced)
+//
+// strtab is one length-prefixed block holding every string field, each
+// itself length-prefixed: a task's id, function, endpoint, owner,
+// container tech and image, group, body hash and trace id, then its
+// selector pair count and pairs in key order; a result's task id and
+// worker id. The decoder turns the block into one string and slices
+// the fields out of it. Times are seconds since year 1 then
+// nanoseconds. payload and output are raw bytes, written as 0 for nil
+// or length+1 and the bytes, and are copied out on decode, so a decoded
+// record never aliases its frame. Decoding checks every length against
+// the bytes left before allocating, and rejects trailing bytes and any
+// non-canonical form, so encode(decode(b)) == b for every accepted b.
+// TaskMemoize and ResultStatus read a frame's header without decoding
+// the rest.
+//
+// The remaining records (registration, capacity, advice, task start,
+// events, DAGs, status) are cold-path or SSE text and stay JSON.
 package wire
 
 import (
@@ -12,61 +41,6 @@ import (
 	"funcx/internal/dag"
 	"funcx/internal/types"
 )
-
-// EncodeTask frames a task for transport.
-func EncodeTask(t *types.Task) []byte {
-	b, err := json.Marshal(t)
-	if err != nil {
-		// types.Task contains only marshalable fields.
-		panic(fmt.Sprintf("wire: marshaling task: %v", err))
-	}
-	return b
-}
-
-// DecodeTask unframes a task.
-func DecodeTask(data []byte) (*types.Task, error) {
-	var t types.Task
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("wire: decoding task: %w", err)
-	}
-	return &t, nil
-}
-
-// EncodeTasks frames a batch of tasks (executor-side batching).
-func EncodeTasks(ts []*types.Task) []byte {
-	b, err := json.Marshal(ts)
-	if err != nil {
-		panic(fmt.Sprintf("wire: marshaling task batch: %v", err))
-	}
-	return b
-}
-
-// DecodeTasks unframes a batch of tasks.
-func DecodeTasks(data []byte) ([]*types.Task, error) {
-	var ts []*types.Task
-	if err := json.Unmarshal(data, &ts); err != nil {
-		return nil, fmt.Errorf("wire: decoding task batch: %w", err)
-	}
-	return ts, nil
-}
-
-// EncodeResult frames a result for transport.
-func EncodeResult(r *types.Result) []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		panic(fmt.Sprintf("wire: marshaling result: %v", err))
-	}
-	return b
-}
-
-// DecodeResult unframes a result.
-func DecodeResult(data []byte) (*types.Result, error) {
-	var r types.Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("wire: decoding result: %w", err)
-	}
-	return &r, nil
-}
 
 // Registration is the payload of a MsgRegister from an endpoint agent
 // to its forwarder, or from a manager to its agent.
