@@ -19,8 +19,8 @@ vet:
 
 # lint runs the project's own static-analysis suite (internal/analysis
 # via cmd/funcx-vet): exhaustive protocol/opcode switches, the
-# monotonic-clock trace discipline, statusMu-guarded lifecycle
-# publishes, the metric-family registry, context flow through request
+# monotonic-clock trace discipline, one writer (transition) for task
+# records and lifecycle publishes, the metric-family registry, context flow through request
 # paths, and select-guarded channel sends on hot paths. Nonzero on any
 # unsuppressed finding; see README "Static analysis".
 lint:

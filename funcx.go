@@ -64,7 +64,9 @@ type SubmitSpec = sdk.SubmitSpec
 // EndpointSpec describes an endpoint registration (Client.NewEndpoint).
 type EndpointSpec = sdk.EndpointSpec
 
-// GroupSpec describes an endpoint-group creation (Client.NewGroup).
+// GroupSpec describes an endpoint-group creation (Client.NewGroup and
+// Fabric.AddGroup): a named fleet the service router places tasks
+// across (Client.RunAnywhere).
 type GroupSpec = sdk.GroupSpec
 
 // Future is a handle on a submitted task's eventual result, resolved
@@ -120,10 +122,6 @@ type Endpoint = core.Endpoint
 
 // EndpointOptions shape an endpoint deployment.
 type EndpointOptions = core.EndpointOptions
-
-// GroupOptions shape an endpoint-group creation: a named fleet the
-// service router places tasks across (Client.RunAnywhere).
-type GroupOptions = core.GroupOptions
 
 // EndpointGroup is a registered endpoint group.
 type EndpointGroup = types.EndpointGroup

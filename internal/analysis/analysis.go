@@ -6,9 +6,9 @@
 //
 // The analyzers encode invariants this codebase otherwise maintains by
 // hand: exhaustive protocol/opcode switches, the monotonic-clock trace
-// discipline, statusMu-guarded lifecycle publishes, the metric-family
-// registry, context flow through request paths, and select-guarded
-// channel sends on hot paths. See the README "Static analysis" section.
+// discipline, one writer for task records and lifecycle publishes, the
+// metric-family registry, context flow through request paths, and
+// select-guarded channel sends on hot paths. See the README "Static analysis" section.
 package analysis
 
 import (

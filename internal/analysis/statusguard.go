@@ -2,30 +2,27 @@ package analysis
 
 import (
 	"go/ast"
-	"strings"
 )
 
-// AnalyzerStatusGuard enforces the PR 3/4 lifecycle-ordering
-// invariant in internal/service: writes to the status record
-// (`s.Store.Hash(statusHash).Set/Del`) and lifecycle event
-// publications (`s.publish(...)`) must happen while Service.statusMu
-// is held, so a terminal status landing concurrently can never be
-// overwritten by a stale transition and events never publish out of
-// order with the record.
+// AnalyzerStatusGuard enforces the one-writer invariant of task
+// records in internal/service: only Service.transition may write the
+// record hash (`X.Hash(recordsHash).Set/SetTTL/Del`), write or delete
+// an entry of the in-memory record map (`X.records[k] = v`,
+// `delete(X.records, k)`), or publish a task lifecycle event
+// (`X.publish(...)`). transition applies each move under one lock, so
+// a stale or backwards move can never overwrite a landed terminal
+// status and events never publish out of order with the record. The
+// one other publisher is publishDAG, which carries graph-level events
+// (DAGRunning/DAGSuccess/DAGFailed) and is not tracked.
 //
-// The check is lexical: within one function body, a tracked call is
-// guarded when a `statusMu.Lock()` precedes it and the lock has not
-// been released on the fall-through path (an Unlock immediately
-// followed by return/break/continue is an early exit and does not
-// release the fall-through path; a deferred Unlock holds to function
-// end). Helpers whose contract is "caller holds statusMu" declare it
-// with a `//funcx:holds statusMu` directive in their doc comment.
-// Writes that are deliberately outside the lock (pre-enqueue records
-// for ids no concurrent writer can know yet) carry justified ignore
-// directives.
+// The check is lexical: a tracked operation is allowed only in the
+// body of the function named transition (or, for publishes, named
+// publishDAG). Helpers do not inherit the permission, and function
+// literals — which run at an unknown time, outside the enclosing
+// critical section — never have it.
 var AnalyzerStatusGuard = &Analyzer{
 	Name: "statusguard",
-	Doc:  "status-record writes and lifecycle publishes happen under Service.statusMu",
+	Doc:  "task records and lifecycle events are written only by Service.transition",
 	Run:  runStatusGuard,
 }
 
@@ -37,231 +34,74 @@ func runStatusGuard(pass *Pass) {
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				checkRecordWriters(pass, fn.Name.Name, fn.Body)
 			}
-			w := &guardWalker{pass: pass, locked: holdsDirective(fn, "statusMu")}
-			w.stmts(fn.Body.List)
 		}
 	}
 }
 
-// holdsDirective reports whether the function's doc comment carries
-// `//funcx:holds <what>`.
-func holdsDirective(fn *ast.FuncDecl, what string) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, directivePrefix+"holds")) == what &&
-			strings.HasPrefix(c.Text, directivePrefix+"holds ") {
-			return true
+// checkRecordWriters reports tracked operations in body that the
+// function named fn may not perform ("" for a function literal).
+func checkRecordWriters(pass *Pass, fn string, body *ast.BlockStmt) {
+	report := func(n ast.Node, kind string) {
+		if fn == "transition" || fn == "publishDAG" && kind == "lifecycle publish" {
+			return
 		}
+		pass.Reportf(n.Pos(), "%s outside transition; task records and lifecycle events have one writer (Service.transition)", kind)
 	}
-	return false
-}
-
-// guardWalker tracks statusMu lock state through a function body in
-// source order, conservatively merging branch outcomes: after a
-// branch construct the lock is held only if it was held before AND at
-// the end of every arm.
-type guardWalker struct {
-	pass   *Pass
-	locked bool
-}
-
-func (w *guardWalker) stmts(list []ast.Stmt) {
-	for i, stmt := range list {
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				switch mutexCall(call) {
-				case "Lock":
-					w.locked = true
-					continue
-				case "Unlock":
-					// An unlock followed by return/branch releases an
-					// early-exit path only; the fall-through remains
-					// guarded.
-					if !followedByExit(list, i) {
-						w.locked = false
-					}
-					continue
-				}
-			}
-			w.checkExpr(s.X)
-		case *ast.DeferStmt:
-			if mutexCall(s.Call) == "Unlock" {
-				continue // held to function end
-			}
-			w.checkExpr(s.Call)
-		case *ast.IfStmt:
-			if s.Init != nil {
-				w.stmts([]ast.Stmt{s.Init})
-			}
-			w.checkExpr(s.Cond)
-			before := w.locked
-			w.stmts(s.Body.List)
-			bodyEnd := w.locked
-			elseEnd := before
-			if s.Else != nil {
-				w.locked = before
-				w.stmts([]ast.Stmt{s.Else})
-				elseEnd = w.locked
-			}
-			w.locked = before && bodyEnd && elseEnd
-		case *ast.ForStmt:
-			w.branchBody(s.Body, s.Init, s.Post)
-		case *ast.RangeStmt:
-			w.checkExpr(s.X)
-			w.branchBody(s.Body)
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				w.stmts([]ast.Stmt{s.Init})
-			}
-			if s.Tag != nil {
-				w.checkExpr(s.Tag)
-			}
-			w.clauses(s.Body)
-		case *ast.TypeSwitchStmt:
-			w.clauses(s.Body)
-		case *ast.SelectStmt:
-			w.clauses(s.Body)
-		case *ast.BlockStmt:
-			w.stmts(s.List)
-		case *ast.GoStmt:
-			// A goroutine does not inherit the caller's lock.
-			inner := &guardWalker{pass: w.pass}
-			inner.checkExpr(s.Call)
-		case *ast.LabeledStmt:
-			w.stmts([]ast.Stmt{s.Stmt})
-		default:
-			ast.Inspect(stmt, func(n ast.Node) bool {
-				if e, ok := n.(ast.Expr); ok {
-					w.checkExpr(e)
-					return false
-				}
-				return true
-			})
-		}
-	}
-}
-
-// branchBody walks a loop body whose execution count is unknown: the
-// lock survives the construct only if every iteration preserves it.
-func (w *guardWalker) branchBody(body *ast.BlockStmt, extra ...ast.Stmt) {
-	before := w.locked
-	for _, s := range extra {
-		if s != nil {
-			w.stmts([]ast.Stmt{s})
-		}
-	}
-	w.stmts(body.List)
-	w.locked = before && w.locked
-}
-
-func (w *guardWalker) clauses(body *ast.BlockStmt) {
-	before := w.locked
-	end := before
-	for _, stmt := range body.List {
-		w.locked = before
-		switch c := stmt.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.checkExpr(e)
-			}
-			w.stmts(c.Body)
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmts([]ast.Stmt{c.Comm})
-			}
-			w.stmts(c.Body)
-		}
-		end = end && w.locked
-	}
-	w.locked = before && end
-}
-
-// checkExpr reports unguarded tracked calls inside expr. Function
-// literals start unlocked: their bodies run at an unknown time.
-func (w *guardWalker) checkExpr(expr ast.Expr) {
-	if expr == nil {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.FuncLit:
-			inner := &guardWalker{pass: w.pass}
-			inner.stmts(e.Body.List)
+			checkRecordWriters(pass, "", e.Body)
 			return false
-		case *ast.CallExpr:
-			if !w.locked {
-				if kind := trackedStatusCall(e); kind != "" {
-					w.pass.Reportf(e.Pos(), "%s outside statusMu; lifecycle transitions must hold Service.statusMu (or carry a justified ignore)", kind)
+		case *ast.AssignStmt:
+			for _, lhs := range e.Lhs {
+				if ix, ok := lhs.(*ast.IndexExpr); ok && isRecordsField(ix.X) {
+					report(lhs, "record write")
 				}
+			}
+		case *ast.CallExpr:
+			if kind := trackedRecordCall(e); kind != "" {
+				report(e, kind)
 			}
 		}
 		return true
 	})
 }
 
-// mutexCall classifies a call as statusMu.Lock/Unlock.
-func mutexCall(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "Unlock") {
-		return ""
-	}
-	recv, ok := sel.X.(*ast.SelectorExpr)
-	if !ok || recv.Sel.Name != "statusMu" {
-		return ""
-	}
-	return sel.Sel.Name
+// isRecordsField matches the record map selector `X.records`.
+func isRecordsField(e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "records"
 }
 
-// trackedStatusCall classifies the guarded operations: a Set/Del on
-// the statusHash hash, or a lifecycle publish.
-func trackedStatusCall(call *ast.CallExpr) string {
+// trackedRecordCall classifies the tracked calls: a delete from the
+// record map, a Set/SetTTL/Del on the recordsHash hash, or a lifecycle
+// publish.
+func trackedRecordCall(call *ast.CallExpr) string {
+	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && len(call.Args) == 2 && isRecordsField(call.Args[0]) {
+		return "record delete"
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
 	switch sel.Sel.Name {
-	case "Set", "Del":
+	case "Set", "SetTTL", "Del":
 		inner, ok := sel.X.(*ast.CallExpr)
-		if !ok {
+		if !ok || len(inner.Args) != 1 {
 			return ""
 		}
 		innerSel, ok := inner.Fun.(*ast.SelectorExpr)
-		if !ok || innerSel.Sel.Name != "Hash" || len(inner.Args) != 1 {
+		if !ok || innerSel.Sel.Name != "Hash" {
 			return ""
 		}
-		if arg, ok := inner.Args[0].(*ast.Ident); ok && arg.Name == "statusHash" {
-			return "status-record " + sel.Sel.Name
+		if arg, ok := inner.Args[0].(*ast.Ident); ok && arg.Name == "recordsHash" {
+			return "record-hash " + sel.Sel.Name
 		}
 	case "publish":
 		return "lifecycle publish"
 	}
 	return ""
-}
-
-// followedByExit reports whether the statement after index i in list
-// unconditionally leaves the enclosing block.
-func followedByExit(list []ast.Stmt, i int) bool {
-	if i+1 >= len(list) {
-		return false
-	}
-	switch next := list[i+1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := next.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -1,44 +1,51 @@
-// Seeded violations: status-record writes and lifecycle publishes
-// reachable without holding statusMu, including a lock released on
-// the fall-through path and a goroutine launched under the lock.
+// Seeded violations: each writer that bypasses transition — a direct
+// hash write and publish (the old unguarded write), a helper writing
+// on transition's behalf (the old write just past the lock), a
+// goroutine launched from transition (the old goroutine under the
+// lock), in-memory record map writes, and publishDAG writing a record.
 package service
 
-import "sync"
-
-const statusHash = "status"
+const recordsHash = "taskrec"
 
 type hashT struct{}
 
-func (hashT) Set(k string, v []byte) {}
-func (hashT) Del(k string)           {}
+func (hashT) Set(k string, v []byte)               {}
+func (hashT) SetTTL(k string, v []byte, ttl int64) {}
+func (hashT) Del(k string)                         {}
 
 type storeT struct{}
 
 func (storeT) Hash(name string) hashT { return hashT{} }
 
 type Service struct {
-	statusMu sync.Mutex
-	Store    storeT
+	Store   storeT
+	records map[string]string
 }
 
 func (s *Service) publish(ev string) {}
 
-func (s *Service) unguarded(id string) {
-	s.Store.Hash(statusHash).Set(id, nil) // want "status-record Set outside statusMu"
-	s.publish("queued")                   // want "lifecycle publish outside statusMu"
+func (s *Service) place(id string) {
+	s.Store.Hash(recordsHash).Set(id, nil) // want "record-hash Set outside transition"
+	s.publish("queued")                    // want "lifecycle publish outside transition"
 }
 
-func (s *Service) releasedTooEarly(id string) {
-	s.statusMu.Lock()
-	s.Store.Hash(statusHash).Set(id, nil)
-	s.statusMu.Unlock()
-	s.publish("late") // want "lifecycle publish outside statusMu"
+func (s *Service) persist(id string) {
+	s.Store.Hash(recordsHash).SetTTL(id, nil, 1) // want "record-hash SetTTL outside transition"
 }
 
-func (s *Service) goroutineUnderLock(id string) {
-	s.statusMu.Lock()
-	defer s.statusMu.Unlock()
+func (s *Service) transition(id string) {
+	s.persist(id)
 	go func() {
-		s.Store.Hash(statusHash).Del(id) // want "status-record Del outside statusMu"
+		s.Store.Hash(recordsHash).Del(id) // want "record-hash Del outside transition"
 	}()
+}
+
+func (s *Service) purge(id string) {
+	s.records[id] = "gone" // want "record write outside transition"
+	delete(s.records, id)  // want "record delete outside transition"
+}
+
+func (s *Service) publishDAG(id string) {
+	s.publish("dag-running")
+	s.Store.Hash(recordsHash).Set(id, nil) // want "record-hash Set outside transition"
 }

@@ -1,56 +1,53 @@
-// Corrected forms: deferred unlock, early-exit unlock that keeps the
-// fall-through guarded, a caller-holds helper, and writes to an
-// untracked hash.
+// Corrected forms: every record write and task publish inside
+// transition (including the map delete and the purge's hash Del),
+// graph events through publishDAG, record reads anywhere, and writes
+// to untracked hashes.
 package service
 
-import "sync"
-
 const (
-	statusHash  = "status"
-	resultsHash = "results"
+	recordsHash = "taskrec"
+	dagsHash    = "dags"
 )
 
 type hashT struct{}
 
-func (hashT) Set(k string, v []byte) {}
-func (hashT) Del(k string)           {}
+func (hashT) Set(k string, v []byte)      {}
+func (hashT) Del(k string)                {}
+func (hashT) Get(k string) ([]byte, bool) { return nil, false }
 
 type storeT struct{}
 
 func (storeT) Hash(name string) hashT { return hashT{} }
 
 type Service struct {
-	statusMu sync.Mutex
-	Store    storeT
+	Store   storeT
+	records map[string]string
 }
 
 func (s *Service) publish(ev string) {}
 
-func (s *Service) guarded(id string) {
-	s.statusMu.Lock()
-	defer s.statusMu.Unlock()
-	s.Store.Hash(statusHash).Set(id, nil)
-	s.publish("queued")
-}
-
-func (s *Service) earlyExit(id string, terminal bool) {
-	s.statusMu.Lock()
-	if terminal {
-		s.statusMu.Unlock()
-		return
+func (s *Service) transition(id, to string) bool {
+	if to == "" {
+		delete(s.records, id)
+		s.Store.Hash(recordsHash).Del(id)
+		return true
 	}
-	s.Store.Hash(statusHash).Set(id, nil)
-	s.publish("dispatched")
-	s.statusMu.Unlock()
+	s.records[id] = to
+	s.Store.Hash(recordsHash).Set(id, nil)
+	s.publish(to)
+	return true
 }
 
-// helper's contract is that every caller already holds statusMu.
-//
-//funcx:holds statusMu
-func (s *Service) helper(id string) {
-	s.Store.Hash(statusHash).Del(id)
+func (s *Service) publishDAG(ev string) {
+	s.publish(ev)
+}
+
+func (s *Service) status(id string) (string, bool) {
+	st, ok := s.records[id]
+	s.Store.Hash(recordsHash).Get(id)
+	return st, ok
 }
 
 func (s *Service) untracked(id string) {
-	s.Store.Hash(resultsHash).Set(id, nil)
+	s.Store.Hash(dagsHash).Set(id, nil)
 }

@@ -262,6 +262,14 @@ type ResultResponse struct {
 	Timing TimingBreakdown `json:"timing"`
 }
 
+// Result converts the wire shape back into the service's result.
+func (r ResultResponse) Result() *types.Result {
+	return &types.Result{
+		TaskID: r.TaskID, Output: r.Output, Err: r.Error,
+		Memoized: r.Memoized, Lost: r.Lost, Timing: r.Timing.Timing(),
+	}
+}
+
 // TimingBreakdown mirrors types.Timing in JSON-friendly nanoseconds.
 type TimingBreakdown struct {
 	TSNanos int64 `json:"ts_ns"`
@@ -569,13 +577,12 @@ type ShardHandoffRequest struct {
 }
 
 // HandoffTask is one queued task in a shard handoff: the wire-encoded
-// task record plus the status/owner rows that keep result retrieval,
-// access control, and event routing working on the importer.
+// task, whose owner keeps result retrieval, access control, and event
+// routing working on the importer. Imported tasks always start queued
+// there (the drain requeued every lease).
 type HandoffTask struct {
-	ID     string `json:"id"`
-	Data   []byte `json:"data"`
-	Status string `json:"status,omitempty"`
-	Owner  string `json:"owner,omitempty"`
+	ID   string `json:"id"`
+	Data []byte `json:"data"`
 }
 
 // ShardHandoffResponse acknowledges a handoff import.

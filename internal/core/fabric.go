@@ -329,46 +329,19 @@ func contentionFor(system string) float64 {
 	}
 }
 
-// GroupOptions shape one endpoint-group creation.
-type GroupOptions struct {
-	// Name is the registered group name.
-	Name string
-	// Owner creates and owns the group (must be able to dispatch to
-	// every member).
-	Owner types.UserID
-	// Policy names the placement policy (see internal/router); empty
-	// selects the default (least-outstanding).
-	Policy string
-	// Public permits any authenticated user to target the group.
-	Public bool
-	// Members are the candidate endpoints (ids of endpoints already
-	// added to the fabric, with optional static weights).
-	Members []types.GroupMember
-	// RetryBudget is the group's default per-task redelivery budget
-	// (0 = the service default) applied to tasks placed through the
-	// group that carry no budget of their own.
-	RetryBudget int
-	// Elastic, when set, opts the group into the service's fleet
-	// autoscaling controller (see internal/elastic): the service
-	// periodically converts group backlog into per-member block
-	// targets and pushes them to member endpoints as scaling advice.
-	Elastic *types.ElasticSpec
-}
-
 // AddGroup registers an endpoint group over previously added
 // endpoints, so experiments can boot multi-endpoint fleets and submit
 // through the router instead of pinning each task to one endpoint.
-func (f *Fabric) AddGroup(opts GroupOptions) (*types.EndpointGroup, error) {
-	if opts.Name == "" {
-		opts.Name = "group"
+// An empty owner creates the group as "operator"; an empty name
+// becomes "group".
+func (f *Fabric) AddGroup(owner types.UserID, spec registry.GroupSpec) (*types.EndpointGroup, error) {
+	if spec.Name == "" {
+		spec.Name = "group"
 	}
-	if opts.Owner == "" {
-		opts.Owner = "operator"
+	if owner == "" {
+		owner = "operator"
 	}
-	return f.Service.CreateGroup(opts.Owner, registry.GroupSpec{
-		Name: opts.Name, Policy: opts.Policy, Public: opts.Public,
-		Members: opts.Members, Elastic: opts.Elastic, RetryBudget: opts.RetryBudget,
-	})
+	return f.Service.CreateGroup(owner, spec)
 }
 
 // GroupOf is a convenience around AddGroup for the common case: group
@@ -378,7 +351,7 @@ func (f *Fabric) GroupOf(owner types.UserID, name, policy string, eps ...*Endpoi
 	for i, ep := range eps {
 		members[i] = types.GroupMember{EndpointID: ep.ID}
 	}
-	return f.AddGroup(GroupOptions{Name: name, Owner: owner, Policy: policy, Members: members})
+	return f.AddGroup(owner, registry.GroupSpec{Name: name, Policy: policy, Members: members})
 }
 
 // Endpoint returns a previously added endpoint handle.

@@ -8,6 +8,7 @@ import (
 	"funcx/internal/elastic"
 	"funcx/internal/fx"
 	"funcx/internal/provider"
+	"funcx/internal/registry"
 	"funcx/internal/sdk"
 	"funcx/internal/service"
 	"funcx/internal/types"
@@ -85,8 +86,8 @@ func TestGroupAdviceScalesFleetOutAndBackIn(t *testing.T) {
 		addElasticEndpoint(t, f, "el-0", false),
 		addElasticEndpoint(t, f, "el-1", false),
 	}
-	g, err := f.AddGroup(GroupOptions{
-		Name: "hot", Owner: "alice",
+	g, err := f.AddGroup("alice", registry.GroupSpec{
+		Name:    "hot",
 		Members: []types.GroupMember{{EndpointID: eps[0].ID}, {EndpointID: eps[1].ID}},
 		Elastic: &types.ElasticSpec{Strategy: elastic.StrategyProportional, TasksPerBlock: 1},
 	})
@@ -146,8 +147,8 @@ func TestGroupAdviceScalesFleetOutAndBackIn(t *testing.T) {
 func TestAdviceClampedByEndpointPolicy(t *testing.T) {
 	f := newElasticFabric(t)
 	ep := addElasticEndpoint(t, f, "clamped", false) // MaxBlocks 4
-	g, err := f.AddGroup(GroupOptions{
-		Name: "hot", Owner: "alice",
+	g, err := f.AddGroup("alice", registry.GroupSpec{
+		Name:    "hot",
 		Members: []types.GroupMember{{EndpointID: ep.ID}},
 		Elastic: &types.ElasticSpec{Strategy: elastic.StrategyProportional, TasksPerBlock: 1},
 	})
@@ -192,8 +193,8 @@ func TestAdviceClampedByEndpointPolicy(t *testing.T) {
 func TestNoAdviceEndpointKeepsLocalScaling(t *testing.T) {
 	f := newElasticFabric(t)
 	ep := addElasticEndpoint(t, f, "optout", true)
-	g, err := f.AddGroup(GroupOptions{
-		Name: "hot", Owner: "alice",
+	g, err := f.AddGroup("alice", registry.GroupSpec{
+		Name:    "hot",
 		Members: []types.GroupMember{{EndpointID: ep.ID}},
 		Elastic: &types.ElasticSpec{Strategy: elastic.StrategyProportional, TasksPerBlock: 1},
 	})

@@ -210,6 +210,10 @@ func TestRetryBudgetExhaustionResolvesTaskLost(t *testing.T) {
 		HeartbeatPeriod: 25 * time.Millisecond,
 		HeartbeatMisses: 3,
 		DispatchLease:   100 * time.Millisecond,
+		// The record (and so its status) lives only as long as the
+		// result: retain it past retrieval so the status read below
+		// cannot race the purge that follows the future's resolution.
+		ResultTTL: time.Minute,
 	}})
 	if err != nil {
 		t.Fatalf("NewFabric: %v", err)

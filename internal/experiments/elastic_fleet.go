@@ -163,8 +163,8 @@ func elasticFleetRun(opts Options, advised bool, bursts, perBurst int) (*elastic
 			TasksPerBlock: 1,
 		}
 	}
-	group, err := fab.AddGroup(core.GroupOptions{
-		Name: "elastic-fleet", Owner: "experimenter",
+	group, err := fab.AddGroup("experimenter", sdk.GroupSpec{
+		Name: "elastic-fleet",
 		Members: []types.GroupMember{
 			{EndpointID: eps[0].ID}, {EndpointID: eps[1].ID},
 			{EndpointID: eps[2].ID}, {EndpointID: eps[3].ID},

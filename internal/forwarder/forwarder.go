@@ -1,14 +1,14 @@
 // Package forwarder implements the per-endpoint forwarder process of
 // paper §4.1: when an endpoint registers, the funcX service creates a
-// forwarder that owns the endpoint's Redis task queue and result
-// store. The forwarder dispatches tasks to the endpoint agent only
-// while the agent is connected, uses heartbeats to detect agent loss,
-// and leases every dispatched task: tasks whose lease expires without
-// a running signal or result — and all in-flight tasks on agent loss —
-// are offered to the service's reclaim hook (retry budgets, failover
-// re-routing, at-most-once fail-fast), falling back to requeue-for-
-// redelivery, so that agents receive tasks with at-least-once
-// semantics by default.
+// forwarder that owns the endpoint's Redis task queue and relays its
+// results to the service. The forwarder dispatches tasks to the
+// endpoint agent only while the agent is connected, uses heartbeats to
+// detect agent loss, and leases every dispatched task: tasks whose
+// lease expires without a running signal or result — and all in-flight
+// tasks on agent loss — are offered to the service's reclaim hook
+// (retry budgets, failover re-routing, at-most-once fail-fast), falling
+// back to requeue-for-redelivery, so that agents receive tasks with
+// at-least-once semantics by default.
 package forwarder
 
 import (
@@ -39,11 +39,6 @@ type Config struct {
 	Addr string
 	// TaskQueue is the endpoint's reliable task queue.
 	TaskQueue *store.Queue
-	// Results receives serialized results keyed by task id.
-	Results *store.Hash
-	// ResultTTL bounds how long results live after arrival when
-	// positive (results are purged once retrieved regardless).
-	ResultTTL time.Duration
 	// HeartbeatPeriod is the forwarder's heartbeat interval and the
 	// granularity of agent-loss detection.
 	HeartbeatPeriod time.Duration
@@ -61,12 +56,11 @@ type Config struct {
 	// Lat optionally injects WAN latency per dispatched message
 	// (Table 1 / Figure 4 experiments).
 	Lat *netlat.Link
-	// OnResult, when set, may enrich every result before it is
-	// persisted (the service stamps the TS timing component and feeds
-	// the memoization cache here).
+	// OnResult is the sink for every result the agent returns, called
+	// once the queue receipt is acknowledged and the TF component
+	// stamped: the service retires the task with it (storing the
+	// result, feeding the memo cache, publishing the terminal event).
 	OnResult func(*types.Result)
-	// OnStored, when set, fires after the result is persisted.
-	OnStored func(*types.Result)
 	// OnDispatched, when set, fires after a task is shipped to the
 	// connected agent (the service advances the task's lifecycle
 	// status and publishes the "dispatched" event here). Redeliveries
@@ -390,7 +384,7 @@ func (f *Forwarder) handleAgent(conn transport.Conn) {
 			if err != nil {
 				continue
 			}
-			f.storeResult(res)
+			f.deliverResult(res)
 		}
 	}
 }
@@ -525,26 +519,14 @@ func (f *Forwarder) dispatchLoop() {
 			f.cfg.TaskQueue.Ack(receipt) //nolint:errcheck // drop undecodable item
 			continue
 		}
-		// Simulated WAN propagation toward the endpoint.
-		if f.cfg.Lat != nil {
-			f.cfg.Lat.Delay()
-		}
-		if err := conn.Send(transport.Message{Type: transport.MsgTask, Payload: data}); err != nil {
-			// Send failed: agent just vanished. Return the task —
-			// except an at-most-once task, which may have partially
-			// reached the agent and must never risk double delivery.
-			f.recoverUnleased(task, receipt, "send failed")
-			f.disconnect("send failed")
-			continue
-		}
+		// The lease is recorded before the send: a disconnect racing the
+		// send then drains it together with the other leases, returning
+		// them to the queue in enqueue order, and a result racing the
+		// send finds its receipt.
 		f.mu.Lock()
 		if f.conn != conn {
-			// Disconnected while sending: disconnect() already
-			// recovered its lease snapshot, which missed this one —
-			// recover the task ourselves so it is not stranded. The
-			// agent did receive it, so at-most-once handling applies.
 			f.mu.Unlock()
-			f.recoverUnleased(task, receipt, "agent connection lost")
+			f.cfg.TaskQueue.Nack(receipt) //nolint:errcheck // never sent
 			continue
 		}
 		f.leases[task.ID] = &lease{
@@ -552,30 +534,53 @@ func (f *Forwarder) dispatchLoop() {
 			receipt:  receipt,
 			deadline: time.Now().Add(f.cfg.DispatchLease + task.Walltime),
 		}
-		f.tfStart[task.ID] = time.Since(popDone)
-		f.dispatched++
 		f.mu.Unlock()
-		if f.cfg.OnDispatched != nil {
+		// Simulated WAN propagation toward the endpoint.
+		if f.cfg.Lat != nil {
+			f.cfg.Lat.Delay()
+		}
+		if err := conn.Send(transport.Message{Type: transport.MsgTask, Payload: data}); err != nil {
+			// Send failed: agent just vanished. Unless a disconnect
+			// already drained the lease, return the task — except an
+			// at-most-once task, which may have partially reached the
+			// agent and must never risk double delivery: OnReclaim
+			// retires it as lost instead.
+			f.mu.Lock()
+			l, took := f.leases[task.ID]
+			if took = took && l.receipt == receipt; took {
+				delete(f.leases, task.ID)
+			}
+			mine := f.conn == conn
+			f.mu.Unlock()
+			switch {
+			case !took:
+			case task.AtMostOnce && f.cfg.OnReclaim != nil && f.cfg.OnReclaim(task, "agent send failed"):
+				f.cfg.TaskQueue.Ack(receipt) //nolint:errcheck
+				f.mu.Lock()
+				f.reclaimed++
+				f.mu.Unlock()
+			default:
+				f.cfg.TaskQueue.Nack(receipt) //nolint:errcheck
+			}
+			if mine {
+				f.disconnect("send failed")
+			}
+			continue
+		}
+		f.mu.Lock()
+		f.dispatched++
+		// A disconnect (or a fast result) may have taken the lease
+		// during the send; then it was recovered (or completed) already.
+		l, leased := f.leases[task.ID]
+		leased = leased && l.receipt == receipt
+		if leased {
+			f.tfStart[task.ID] = time.Since(popDone)
+		}
+		f.mu.Unlock()
+		if leased && f.cfg.OnDispatched != nil {
 			f.cfg.OnDispatched(task)
 		}
 	}
-}
-
-// recoverUnleased handles a dispatch that failed before its lease was
-// recorded (send error, or a disconnect racing the bookkeeping). The
-// task may or may not have reached the agent, so an at-most-once task
-// is offered to OnReclaim — which retires it as lost rather than risk
-// a second delivery — while ordinary tasks are returned to the queue
-// for redelivery.
-func (f *Forwarder) recoverUnleased(task *types.Task, receipt uint64, reason string) {
-	if task.AtMostOnce && f.cfg.OnReclaim != nil && f.cfg.OnReclaim(task, "agent "+reason) {
-		f.cfg.TaskQueue.Ack(receipt) //nolint:errcheck
-		f.mu.Lock()
-		f.reclaimed++
-		f.mu.Unlock()
-		return
-	}
-	f.cfg.TaskQueue.Nack(receipt) //nolint:errcheck
 }
 
 // offloadOrphans walks the queue while no agent is connected,
@@ -633,10 +638,9 @@ func (f *Forwarder) offloadOrphans() {
 	f.mu.Unlock()
 }
 
-// storeResult records a completed task: acknowledges the reliable
-// queue, stamps TF timing, stores the serialized result, and notifies
-// the service.
-func (f *Forwarder) storeResult(res *types.Result) {
+// deliverResult completes a dispatched task: acknowledges the reliable
+// queue, stamps TF timing, and hands the result to the OnResult sink.
+func (f *Forwarder) deliverResult(res *types.Result) {
 	start := time.Now()
 	f.mu.Lock()
 	f.lastProgress = start
@@ -660,18 +664,8 @@ func (f *Forwarder) storeResult(res *types.Result) {
 		f.cfg.Lat.Delay()
 	}
 	res.Timing.TF += time.Since(start)
-	// Let the service enrich the result (TS stamp, memoization,
-	// waiter wakeup) before it is persisted.
 	if f.cfg.OnResult != nil {
 		f.cfg.OnResult(res)
-	}
-	if f.cfg.ResultTTL > 0 {
-		f.cfg.Results.SetTTL(string(res.TaskID), wire.EncodeResult(res), f.cfg.ResultTTL)
-	} else {
-		f.cfg.Results.Set(string(res.TaskID), wire.EncodeResult(res))
-	}
-	if f.cfg.OnStored != nil {
-		f.cfg.OnStored(res)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 	"funcx/internal/wire"
 )
 
-// testHarness bundles a forwarder with its queue and result hash.
+// testHarness bundles a forwarder with its queue and a result hash
+// the default OnResult sink stores into.
 type testHarness struct {
 	fwd     *Forwarder
 	queue   *store.Queue
@@ -30,7 +31,9 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 	cfg.EndpointID = "ep-1"
 	cfg.Network = "inproc"
 	cfg.TaskQueue = h.queue
-	cfg.Results = h.results
+	if cfg.OnResult == nil {
+		cfg.OnResult = func(r *types.Result) { h.results.Set(string(r.TaskID), wire.EncodeResult(r)) }
+	}
 	if cfg.HeartbeatPeriod == 0 {
 		cfg.HeartbeatPeriod = 40 * time.Millisecond
 	}
@@ -262,38 +265,31 @@ func TestStatusReportStored(t *testing.T) {
 	t.Fatal("status report never recorded")
 }
 
+// TestOnResultHooksRun: every agent result reaches the OnResult sink
+// once, after its receipt is acknowledged, with the forwarder's TF
+// component stamped.
 func TestOnResultHooksRun(t *testing.T) {
-	enriched := make(chan types.TaskID, 1)
-	stored := make(chan types.TaskID, 1)
-	h := newHarness(t, Config{
-		OnResult: func(r *types.Result) {
-			r.Timing.TS = 42 * time.Millisecond // enrich before store
-			enriched <- r.TaskID
-		},
-		OnStored: func(r *types.Result) { stored <- r.TaskID },
-	})
+	got := make(chan *types.Result, 2)
+	h := newHarness(t, Config{OnResult: func(r *types.Result) { got <- r }})
 	conn := h.connectAgent(t, "")
 	pushTask(t, h.queue, "t1")
 	recvType(t, conn, transport.MsgTask, 2*time.Second)
 	conn.Send(transport.Message{Type: transport.MsgResult, Payload: wire.EncodeResult(&types.Result{TaskID: "t1"})}) //nolint:errcheck
 	select {
-	case <-enriched:
+	case res := <-got:
+		if res.TaskID != "t1" || res.Timing.TF <= 0 {
+			t.Fatalf("sink got %+v, want t1 with TF stamped", res)
+		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("OnResult never ran")
 	}
+	if h.queue.PendingLen() != 0 {
+		t.Fatal("receipt not acked before the sink ran")
+	}
 	select {
-	case <-stored:
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnStored never ran")
-	}
-	// The stored bytes include the enrichment.
-	b, ok := h.results.Get("t1")
-	if !ok {
-		t.Fatal("result missing")
-	}
-	res, _ := wire.DecodeResult(b)
-	if res.Timing.TS != 42*time.Millisecond {
-		t.Fatalf("enrichment not persisted: %+v", res.Timing)
+	case res := <-got:
+		t.Fatalf("sink ran twice (%+v)", res)
+	case <-time.After(50 * time.Millisecond):
 	}
 }
 

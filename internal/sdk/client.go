@@ -29,6 +29,7 @@ import (
 
 	"funcx/internal/api"
 	"funcx/internal/netlat"
+	"funcx/internal/registry"
 	"funcx/internal/serial"
 	"funcx/internal/types"
 )
@@ -239,30 +240,10 @@ func (c *Client) ReattachEndpoint(ctx context.Context, id types.EndpointID) (*ap
 	return &resp, nil
 }
 
-// GroupSpec describes an endpoint-group creation: a named fleet the
-// service router places tasks across.
-type GroupSpec struct {
-	// Name is the registered group name.
-	Name string
-	// Policy names a placement policy ("round-robin",
-	// "least-outstanding", "weighted-queue-depth", "label-affinity");
-	// empty selects the service default.
-	Policy string
-	// Public groups accept tasks from any authenticated user.
-	Public bool
-	// Members are the candidate endpoints.
-	Members []types.GroupMember
-	// RetryBudget is the group's default per-task redelivery budget
-	// (0 = the service default): tasks placed through the group that
-	// set no MaxRetries of their own are reclaimed at most this many
-	// times before resolving with ErrTaskLost.
-	RetryBudget int
-	// Elastic, when set, opts the group into the service's fleet
-	// autoscaling controller: group backlog is converted into
-	// per-member block targets and pushed to member endpoints as
-	// scaling advice (clamped to each endpoint's own scaling limits).
-	Elastic *types.ElasticSpec
-}
+// GroupSpec describes an endpoint-group creation: the same shape the
+// service registers (and Fabric.AddGroup takes), so one spec serves
+// the REST client and in-process fabrics alike.
+type GroupSpec = registry.GroupSpec
 
 // NewGroup registers an endpoint group.
 func (c *Client) NewGroup(ctx context.Context, spec GroupSpec) (*types.EndpointGroup, error) {
@@ -497,23 +478,6 @@ func (c *Client) GetResult(ctx context.Context, id types.TaskID) (*Result, error
 	return res[0], nil
 }
 
-// resultOf converts the wire result shape into the SDK shape.
-func resultOf(resp api.ResultResponse) *Result {
-	res := &Result{
-		TaskID:   resp.TaskID,
-		Output:   resp.Output,
-		Timing:   resp.Timing.Timing(),
-		Memoized: resp.Memoized,
-	}
-	if resp.Error != "" {
-		res.Err = fmt.Errorf("%w: %w", ErrTaskFailed, serial.DecodeError([]byte(resp.Error)))
-		if resp.Lost {
-			res.Err = fmt.Errorf("%w: %w", ErrTaskLost, res.Err)
-		}
-	}
-	return res
-}
-
 // maxWaitIDs mirrors the server's per-request id cap on
 // POST /v1/tasks/wait; larger sets are chunked client-side.
 const maxWaitIDs = 10000
@@ -584,7 +548,7 @@ func (c *Client) waitTasksOnce(ctx context.Context, base string, ids []types.Tas
 	}
 	out := make([]*Result, len(resp.Results))
 	for i, rr := range resp.Results {
-		out[i] = resultOf(rr)
+		out[i] = resultOf(rr.Result())
 	}
 	return out, resp.Pending, nil
 }

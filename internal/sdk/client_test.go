@@ -14,7 +14,6 @@ import (
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/types"
-	"funcx/internal/wire"
 )
 
 // testClient boots a service-backed client (no endpoint agent: tests
@@ -50,7 +49,7 @@ func fixture(t *testing.T, c *Client) (types.FunctionID, types.EndpointID) {
 func complete(svc *service.Service, id types.TaskID, value any) {
 	out, _ := serial.Serialize(value)
 	res := &types.Result{TaskID: id, Output: out, Completed: time.Now()}
-	svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
+	svc.OnResult(res)
 }
 
 func TestRegisterAndRunFlow(t *testing.T) {
@@ -126,7 +125,7 @@ func TestTaskErrorSurfaces(t *testing.T) {
 	ctx := context.Background()
 	id, _, _ := c.Submit(ctx, SubmitSpec{Function: fnID, Endpoint: epID})
 	res := &types.Result{TaskID: id, Err: string(serial.EncodeError(errors.New("remote boom"), string(id)))}
-	svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
+	svc.OnResult(res)
 
 	got, err := c.GetResult(ctx, id)
 	if err != nil {

@@ -530,12 +530,13 @@ func (st *streamer) handleEvent(ev *types.TaskEvent) {
 		st.wake()
 		return
 	}
-	st.resolveOrStash(ev.TaskID, resultFromWire(r))
+	st.resolveOrStash(ev.TaskID, resultOf(r))
 }
 
-// resultFromWire converts a wire result into the SDK shape, mapping
-// remote failures exactly like the REST retrieval path.
-func resultFromWire(r *types.Result) *Result {
+// resultOf converts a service result (decoded from a stream event, or
+// from a wait response via api.ResultResponse.Result) into the SDK
+// shape, mapping remote failures to ErrTaskFailed / ErrTaskLost.
+func resultOf(r *types.Result) *Result {
 	res := &Result{
 		TaskID:   r.TaskID,
 		Output:   r.Output,

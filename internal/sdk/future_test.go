@@ -15,7 +15,6 @@ import (
 	"funcx/internal/serial"
 	"funcx/internal/service"
 	"funcx/internal/types"
-	"funcx/internal/wire"
 )
 
 // getCtx bounds future gathering in tests.
@@ -84,7 +83,7 @@ func TestFutureSurfacesRemoteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &types.Result{TaskID: f.TaskID(), Err: string(serial.EncodeError(errors.New("boom"), string(f.TaskID())))}
-	svc.Store.Hash("results").Set(string(f.TaskID()), wire.EncodeResult(res))
+	svc.OnResult(res)
 	got, err := f.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +223,9 @@ func TestStashServesResultsPurgedByStream(t *testing.T) {
 		}
 		return true
 	})
-	for _, id := range ids {
-		svc.Store.Hash("results").Del(string(id))
+	// Another reader takes (and so purges) every result server-side.
+	if done, _ := svc.WaitTasks(ctx, ids, 0); len(done) != len(ids) {
+		t.Fatalf("purging read took %d results, want %d", len(done), len(ids))
 	}
 
 	f, err := c.FutureOf(ids[0])
@@ -354,7 +354,7 @@ func TestMapFutureGathersPackedBatches(t *testing.T) {
 			parts[j] = serial.Part{Tag: fmt.Sprintf("o%d", j), Body: []byte(fmt.Sprintf("out-%d-%d", i, j))}
 		}
 		res := &types.Result{TaskID: id, Output: serial.Pack(parts...), Completed: time.Now()}
-		svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
+		svc.OnResult(res)
 	}
 	outs, err := mf.Results(ctx)
 	if err != nil {

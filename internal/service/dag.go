@@ -13,13 +13,14 @@
 // the graph record, dagOutputsHash for parent outputs awaiting
 // binding), and recovery.go replays pending edges after a crash.
 //
-// Lock order: dagMu is taken alone or over s.mu, never under it and
-// never across a resultsHash write — the results-hash watch
-// (onResultStored) re-enters applyDAGResult, so writing a result while
-// holding dagMu would self-deadlock. Every completion therefore
+// Lock order: dagMu is taken alone, over s.mu, or under recMu (a
+// terminal transition applies the graph step inside its critical
+// section), never across a record read or transition — those take
+// recMu, which would invert the order. Every completion therefore
 // *collects* the releases and synthetic failures it unlocked under
-// dagMu and executes them after the unlock; each executed action lands
-// its own result, recursing through the hook one graph level at a time.
+// dagMu and executes them after the unlock; each executed action
+// retires or places its own node through transition, recursing one
+// graph level at a time.
 package service
 
 import (
@@ -131,15 +132,13 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 		}
 	}
 
-	// Owner and held status records land before the graph goes live:
-	// status and wait surfaces must recognize every node id the moment
-	// the response returns, and recovery rebuilds held nodes from these
+	// Held (pending) records land before the graph goes live: status
+	// and wait surfaces must recognize every node id the moment the
+	// response returns, and recovery rebuilds held nodes from these
 	// records plus the journaled graph.
 	for _, key := range g.Order {
 		if n := g.Node(key); !n.External {
-			s.Store.Hash(ownersHash).Set(string(n.TaskID), []byte(owner))
-			//funcx:ignore statusguard pre-go-live: the graph is not yet in s.dags and these node ids are unknown to every dispatcher, so nothing can race the held record.
-			s.Store.Hash(statusHash).Set(string(n.TaskID), []byte(types.TaskPending))
+			s.transition(n.TaskID, types.TaskPending, change{owner: owner, dag: id})
 		}
 	}
 	var externals []dagRef
@@ -161,16 +160,7 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 	s.dagNodes += int64(len(tasks))
 	s.mu.Unlock()
 
-	for _, key := range g.Order {
-		if n := g.Node(key); !n.External {
-			//funcx:ignore statusguard every node is still Held (no release has run), so no concurrent transition can reorder against these pending events.
-			s.publish(owner, types.TaskEvent{
-				TaskID: n.TaskID, Status: types.TaskPending, DAGID: id, Time: now,
-			})
-		}
-	}
-	//funcx:ignore statusguard DAG lifecycle event for a graph id, not a task status transition; graph state is serialized by dagMu.
-	s.publish(owner, types.TaskEvent{
+	s.publishDAG(owner, types.TaskEvent{
 		TaskID: types.TaskID(id), Status: types.DAGRunning, DAGID: id, Time: now,
 	})
 
@@ -279,13 +269,14 @@ func (s *Service) persistDAGLocked(g *dag.Graph) {
 	s.Store.Hash(dagsHash).Set(string(g.ID), wire.EncodeDAG(g))
 }
 
-// applyDAGResult is the DAG step of the results-hash completion hook:
-// when the finished task feeds any registered graph, it journals the
-// output for child binding, applies the transition to every waiting
-// graph, and returns the graph id to stamp on the published event plus
-// the actions to execute *after* the hook's own publish — each action
-// writes its own result and re-enters this hook, so they must run
-// outside dagMu. Returns ("", nil) for tasks no graph is waiting on.
+// applyDAGResult is the graph step of a terminal transition (and of
+// an external parent resolving): when the finished task feeds any
+// registered graph, it journals the output for child binding, applies
+// the transition to every waiting graph, and returns the graph id to
+// stamp on the terminal event plus the actions to execute *after* the
+// transition unlocks — each action places or retires a node through
+// transition, so they must run outside recMu and dagMu. Returns
+// ("", nil) for tasks no graph is waiting on.
 func (s *Service) applyDAGResult(id types.TaskID, status types.TaskStatus, endpoint types.EndpointID, value []byte) (types.DAGID, func()) {
 	s.dagMu.Lock()
 	refs := s.dagByTask[id]
@@ -422,8 +413,8 @@ func (s *Service) buildReleaseLocked(g *dag.Graph, key string) (dagRelease, erro
 
 // executeDAGActions runs the releases, synthetic failures, and graph
 // finalizations one completion unlocked. Must be called with no
-// service locks held: every action stores a result, whose hash watch
-// re-enters the DAG path synchronously.
+// service locks held: every action transitions a node, whose terminal
+// step re-enters the DAG path synchronously.
 func (s *Service) executeDAGActions(rels []dagRelease, fails []dagFail, dones []dagDone) {
 	for _, rel := range rels {
 		s.executeRelease(rel)
@@ -462,21 +453,24 @@ func (s *Service) executeRelease(rel dagRelease) {
 	}
 }
 
-// failDAGTask retires a claimed node with a synthetic failed result:
-// an inflight entry is inserted first so the completion hook (which
-// routes the terminal event, feeds the graph transition, and wakes
-// waiters) processes it like any other terminal.
+// failDAGTask retires a claimed node with a synthetic failed result
+// through the ordinary terminal transition, which publishes the
+// terminal event, feeds the graph step, and wakes waiters.
 func (s *Service) failDAGTask(f dagFail) {
-	s.mu.Lock()
 	if f.dep {
+		s.mu.Lock()
 		s.dagDepFailures++
+		s.mu.Unlock()
 	}
-	if _, exists := s.inflight[f.taskID]; !exists {
-		s.inflight[f.taskID] = inflightTask{owner: f.owner}
-	}
-	s.mu.Unlock()
 	res := &types.Result{TaskID: f.taskID, Err: f.errJSON, Completed: time.Now()}
-	s.Store.Hash(resultsHash).Set(string(f.taskID), wire.EncodeResult(res))
+	s.transition(f.taskID, types.TaskFailed, change{owner: f.owner, result: res})
+}
+
+// publishDAG puts one graph-level lifecycle event (DAGRunning,
+// DAGSuccess, DAGFailed; TaskID carries the graph id) on the bus. Task
+// events go through transition instead.
+func (s *Service) publishDAG(owner types.UserID, ev types.TaskEvent) {
+	s.publish(owner, ev)
 }
 
 // finishDAG publishes a graph's lifecycle event and prunes the output
@@ -490,8 +484,7 @@ func (s *Service) finishDAG(d dagDone) {
 	if d.status != types.TaskSuccess {
 		status = types.DAGFailed
 	}
-	//funcx:ignore statusguard DAG terminal event for a graph id, not a task status record; finishDAG runs once per graph, gated by the node transitions under dagMu that led here.
-	s.publish(d.owner, types.TaskEvent{
+	s.publishDAG(d.owner, types.TaskEvent{
 		TaskID: types.TaskID(d.id), Status: status, DAGID: d.id, Time: time.Now(),
 	})
 	s.dagMu.Lock()
@@ -627,10 +620,10 @@ const (
 
 // resolveExternalParent resolves one graph's dependency on a task
 // submitted outside the graph. Locally owned parents are read straight
-// from the store (or, when still running, left to the completion hook,
-// which the submit path already registered for). Parents owned by
-// another shard get a resolver goroutine long-polling the owner over
-// the gateway.
+// from their record (or, when still running, left to the terminal
+// transition's graph step, which the submit path already registered
+// for). Parents owned by another shard get a resolver goroutine
+// long-polling the owner over the gateway.
 func (s *Service) resolveExternalParent(dagID types.DAGID, key string) {
 	s.dagMu.Lock()
 	g := s.dags[dagID]
@@ -650,32 +643,22 @@ func (s *Service) resolveExternalParent(dagID types.DAGID, key string) {
 		go s.pollExternalParent(dagID, key, taskID, owner)
 		return
 	}
-	// Ownership: a graph may only consume its own user's tasks.
-	if o, ok := s.Store.Hash(ownersHash).Get(string(taskID)); ok && types.UserID(o) != owner {
+	rec, ok := s.record(taskID)
+	switch {
+	case ok && rec.owner != owner:
+		// Ownership: a graph may only consume its own user's tasks.
 		s.failExternalParent(dagID, key, taskID, "parent task not found")
-		return
-	}
-	if b, ok := s.Store.Hash(resultsHash).Get(string(taskID)); ok {
-		st := types.TaskSuccess
-		if res, err := wire.DecodeResult(b); err == nil {
-			st = terminalStatusOf(res)
-		}
-		if _, after := s.applyDAGResult(taskID, st, "", b); after != nil {
+	case !ok:
+		// Never submitted, or its result was already retrieved and
+		// purged: there is nothing left to bind.
+		s.failExternalParent(dagID, key, taskID, "unknown parent task, or its output was already retrieved and purged")
+	case rec.result != nil:
+		if _, after := s.applyDAGResult(taskID, rec.status, "", rec.result); after != nil {
 			after()
 		}
-		return
-	}
-	st, ok := s.Store.Hash(statusHash).Get(string(taskID))
-	switch {
-	case !ok:
-		s.failExternalParent(dagID, key, taskID, "unknown parent task")
-	case types.TaskStatus(st).Terminal():
-		// Terminal but the result is gone: it was already retrieved and
-		// purged, so there is nothing left to bind.
-		s.failExternalParent(dagID, key, taskID, "parent output already retrieved and purged")
 	default:
-		// Still running here: the completion hook fires when it lands
-		// (the graph registered in dagByTask at submission).
+		// Still running here: its terminal transition runs the graph
+		// step (the graph registered in dagByTask at submission).
 	}
 }
 
@@ -716,7 +699,7 @@ func (s *Service) pollExternalParent(dagID types.DAGID, key string, taskID types
 	for s.ctx.Err() == nil && time.Now().Before(deadline) {
 		res, retry := s.waitRemoteTask(target, token, taskID)
 		if res != nil {
-			if _, after := s.applyDAGResult(taskID, terminalStatusOf(res), "", wire.EncodeResult(res)); after != nil {
+			if _, after := s.applyDAGResult(taskID, types.TerminalStatus(res.Lost, res.Failed()), "", wire.EncodeResult(res)); after != nil {
 				after()
 			}
 			return
@@ -771,10 +754,9 @@ func (s *Service) waitRemoteTask(target shard.Info, token string, id types.TaskI
 	}
 	for _, rr := range out.Results {
 		if rr.TaskID == id {
-			return &types.Result{
-				TaskID: rr.TaskID, Output: rr.Output, Err: rr.Error,
-				Memoized: rr.Memoized, Lost: rr.Lost, Completed: time.Now(),
-			}, false
+			res := rr.Result()
+			res.Completed = time.Now()
+			return res, false
 		}
 	}
 	return nil, true
@@ -785,17 +767,12 @@ func (s *Service) waitRemoteTask(target shard.Info, token string, id types.TaskI
 // recoverDAGs rebuilds the in-memory graph table from the journal:
 // graph records from dagsHash, pending-edge routing in dagByTask, and
 // parent outputs (re-registering large ones in the dataref fabric,
-// which is runtime state the crash destroyed). It returns the task ids
-// recovery must NOT treat as ordinary in-flight tasks: held nodes have
-// owner and status records but no task record — the inflight sweep
-// would falsely retire them as lost — and claimed-but-unplaced nodes
-// are re-driven by resumeDAGs instead.
-func (s *Service) recoverDAGs() map[types.TaskID]bool {
+// which is runtime state the crash destroyed). Held and
+// claimed-but-unplaced nodes keep their pending records, which the
+// recovery sweep leaves to resumeDAGs.
+func (s *Service) recoverDAGs() {
 	dagsH := s.Store.Hash(dagsHash)
 	outs := s.Store.Hash(dagOutputsHash)
-	tasksH := s.Store.Hash(tasksHash)
-	results := s.Store.Hash(resultsHash)
-	skip := make(map[types.TaskID]bool)
 	s.dagMu.Lock()
 	defer s.dagMu.Unlock()
 	for _, id := range dagsH.Keys() {
@@ -828,21 +805,6 @@ func (s *Service) recoverDAGs() map[types.TaskID]bool {
 			if !n.State.Terminal() {
 				s.dagByTask[n.TaskID] = append(s.dagByTask[n.TaskID], dagRef{id: g.ID, key: key})
 			}
-			if n.External {
-				continue
-			}
-			if n.State == dag.StateHeld {
-				skip[n.TaskID] = true
-			}
-			if n.State == dag.StateReleased {
-				if _, placed := tasksH.Get(string(n.TaskID)); !placed {
-					if _, landed := results.Get(string(n.TaskID)); !landed {
-						// Claimed but never placed (crash inside the release
-						// window): resumeDAGs re-drives it.
-						skip[n.TaskID] = true
-					}
-				}
-			}
 		}
 		s.dags[g.ID] = g
 		if g.Done() {
@@ -852,7 +814,6 @@ func (s *Service) recoverDAGs() map[types.TaskID]bool {
 			s.dagDoneAt[g.ID] = time.Now()
 		}
 	}
-	return skip
 }
 
 // resumeDAGs re-drives every recovered graph after forwarders are up:
@@ -862,15 +823,32 @@ func (s *Service) recoverDAGs() map[types.TaskID]bool {
 // cross-shard parent resolvers respawn. In-flight released nodes are
 // left to the ordinary delivery path.
 func (s *Service) resumeDAGs() {
-	tasksH := s.Store.Hash(tasksHash)
-	results := s.Store.Hash(resultsHash)
-	statuses := s.Store.Hash(statusHash)
 	outs := s.Store.Hash(dagOutputsHash)
 	now := time.Now()
 
+	// Records of the released nodes are read before dagMu is taken
+	// (the lock order forbids record reads under it). A node released
+	// after this snapshot was claimed by a live completion, which
+	// places it itself, so the loop below leaves it alone.
+	released := make(map[types.TaskID]taskRecord)
+	s.dagMu.Lock()
+	for _, g := range s.dags {
+		for _, key := range g.Order {
+			if n := g.Node(key); !g.Done() && !n.External && n.State == dag.StateReleased {
+				released[n.TaskID] = taskRecord{}
+			}
+		}
+	}
+	s.dagMu.Unlock()
+	for id := range released {
+		rec, _ := s.record(id)
+		released[id] = rec
+	}
+
 	type stale struct {
-		id    types.TaskID
-		value []byte
+		id     types.TaskID
+		status types.TaskStatus
+		value  []byte
 	}
 	var stales []stale
 	var rels []dagRelease
@@ -898,35 +876,25 @@ func (s *Service) resumeDAGs() {
 			//funcx:exhaustive funcx/internal/dag.State ignore=StateSuccess,StateFailed,StateLost
 			switch n.State {
 			case dag.StateReleased:
-				if b, ok := results.Get(id); ok {
+				rec, snapped := released[n.TaskID]
+				switch {
+				case !snapped:
+					continue // claimed after the snapshot by a live completion
+				case rec.result != nil:
 					// The result landed pre-crash but the graph record
 					// missed the transition: re-apply it outside the lock
 					// through the ordinary completion path.
 					if refs := s.dagByTask[n.TaskID]; len(refs) > 0 {
-						stales = append(stales, stale{id: n.TaskID, value: b})
+						stales = append(stales, stale{id: n.TaskID, status: rec.status, value: rec.result})
 					}
 					continue
-				}
-				if _, placed := tasksH.Get(id); placed {
+				case rec.status != "" && rec.status != types.TaskPending:
 					continue // in flight; normal delivery finishes it
 				}
 				if b, ok := outs.Get(id); ok {
 					// Output journaled but neither result nor transition
 					// survived: the node did succeed.
 					r, f, done := s.completeLocked(g, key, dag.Outcome{Status: types.TaskSuccess, Output: b, At: now})
-					rels, fails = append(rels, r...), append(fails, f...)
-					if done != nil {
-						dones = append(dones, *done)
-					}
-					changed = true
-					continue
-				}
-				if st, ok := statuses.Get(id); ok && types.TaskStatus(st).Terminal() {
-					r, f, done := s.completeLocked(g, key, dag.Outcome{
-						Status: types.TaskStatus(st),
-						Err:    fmt.Sprintf(`{"message":%q,"task_id":%q}`, "output unavailable after crash", n.TaskID),
-						At:     now,
-					})
 					rels, fails = append(rels, r...), append(fails, f...)
 					if done != nil {
 						dones = append(dones, *done)
@@ -984,11 +952,7 @@ func (s *Service) resumeDAGs() {
 	s.dagMu.Unlock()
 
 	for _, st := range stales {
-		status := types.TaskSuccess
-		if res, err := wire.DecodeResult(st.value); err == nil {
-			status = terminalStatusOf(res)
-		}
-		if _, after := s.applyDAGResult(st.id, status, "", st.value); after != nil {
+		if _, after := s.applyDAGResult(st.id, st.status, "", st.value); after != nil {
 			after()
 		}
 	}

@@ -239,14 +239,7 @@ func (s *Service) handoffBatch(dst shard.ID, eps []*types.Endpoint, groups []*ty
 			if err != nil {
 				continue
 			}
-			ht := api.HandoffTask{ID: string(task.ID), Data: data}
-			if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok {
-				ht.Status = string(st)
-			}
-			if o, ok := s.Store.Hash(ownersHash).Get(string(task.ID)); ok {
-				ht.Owner = string(o)
-			}
-			req.Tasks = append(req.Tasks, ht)
+			req.Tasks = append(req.Tasks, api.HandoffTask{ID: string(task.ID), Data: data})
 		}
 	}
 
@@ -302,13 +295,8 @@ func (s *Service) handoffBatch(dst shard.ID, eps []*types.Endpoint, groups []*ty
 	for _, t := range req.Tasks {
 		id := types.TaskID(t.ID)
 		keys = append(keys, shard.TaskKey(id))
-		s.mu.Lock()
-		delete(s.inflight, id)
-		s.mu.Unlock()
-		s.Store.Hash(tasksHash).Del(t.ID)
-		//funcx:ignore statusguard drain export: the task now lives on the destination shard and this shard is quiesced for its keys; the delete is a handoff, not a transition.
-		s.Store.Hash(statusHash).Del(t.ID)
-		s.Store.Hash(ownersHash).Del(t.ID)
+		// The task lives on the destination shard now.
+		s.transition(id, recordGone, change{})
 	}
 	s.markMoved(dst, keys...)
 	report.Endpoints += len(eps)
@@ -340,10 +328,12 @@ func (s *Service) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
 
 // importHandoff adopts a draining peer's endpoints: records first
 // (journaled through the registry change hook on a durable instance),
-// then the gateway overrides, forwarders, and finally the tasks —
-// each with its owner/status/record rows and an in-flight entry, so
-// waits, events, and access control work here exactly as they did on
-// the origin shard.
+// then the gateway overrides, forwarders, and finally the tasks. Each
+// task enters through transition(→queued) with the owner its frame
+// names, so waits, events, and access control work here exactly as
+// they did on the origin shard — whatever step the task had reached
+// there, the drain requeued it, so here it starts queued and publishes
+// that event.
 func (s *Service) importHandoff(req *api.ShardHandoffRequest) (*api.ShardHandoffResponse, error) {
 	for _, ep := range req.Endpoints {
 		if err := s.Registry.PutEndpoint(ep); err != nil {
@@ -380,22 +370,13 @@ func (s *Service) importHandoff(req *api.ShardHandoffRequest) (*api.ShardHandoff
 		if err != nil {
 			continue // undecodable task: the origin already counted it gone
 		}
-		id := types.TaskID(t.ID)
-		s.mu.Lock()
-		s.inflight[id] = inflightTask{owner: types.UserID(t.Owner), endpoint: task.EndpointID}
-		s.mu.Unlock()
-		if t.Owner != "" {
-			s.Store.Hash(ownersHash).Set(t.ID, []byte(t.Owner))
+		if _, ok := s.transition(task.ID, types.TaskQueued, change{
+			owner: task.Owner, endpoint: task.EndpointID, attempt: task.Attempt, task: t.Data,
+		}); !ok {
+			continue // already known here: keep the live record
 		}
-		s.Store.Hash(tasksHash).Set(t.ID, t.Data)
-		status := t.Status
-		if status == "" {
-			status = string(types.TaskQueued)
-		}
-		//funcx:ignore statusguard handoff import: the task is not yet enqueued on this shard (Push below), so no local transition can race the imported status.
-		s.Store.Hash(statusHash).Set(t.ID, []byte(status))
 		if err := s.Store.Queue(store.TaskQueueName(string(task.EndpointID))).Push(t.Data); err != nil {
-			return nil, fmt.Errorf("service: enqueueing imported task %s: %w", id, err)
+			return nil, fmt.Errorf("service: enqueueing imported task %s: %w", task.ID, err)
 		}
 		imported++
 	}

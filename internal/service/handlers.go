@@ -606,15 +606,16 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res == nil {
-		// Not ready: 202 keeps polling semantics explicit. Report the
-		// real lifecycle state when the record has one — a result that
-		// was already retrieved and purged answers with its terminal
-		// status rather than a misleading "queued".
-		status := types.TaskQueued
-		if st, err := s.Status(id); err == nil {
-			status = st
+		// Not ready: 202 with the live lifecycle state keeps polling
+		// semantics explicit. A task with no record — never submitted,
+		// or its result already retrieved and purged — is not found,
+		// exactly like its status.
+		st, err := s.Status(id)
+		if err != nil {
+			writeError(w, err)
+			return
 		}
-		writeJSON(w, http.StatusAccepted, api.StatusResponse{TaskID: id, Status: status})
+		writeJSON(w, http.StatusAccepted, api.StatusResponse{TaskID: id, Status: st})
 		return
 	}
 	writeJSON(w, http.StatusOK, resultResponseOf(res))
@@ -715,15 +716,12 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// bytes have been delivered — schedule them out of the store
 		// instead of waiting for an explicit result fetch. Streams
 		// are per-user, not per-client, so the purge keeps a grace
-		// TTL for any sibling client still polling. The presence
-		// check keeps replayed events from double-counting.
-		if ev.Status.Terminal() && len(ev.Result) > 0 {
-			if _, present := s.Store.Hash(resultsHash).Get(string(ev.TaskID)); present {
-				s.purgeAfterStream(ev.TaskID)
-				s.mu.Lock()
-				s.streamPurged++
-				s.mu.Unlock()
-			}
+		// TTL for any sibling client still polling. A replayed event
+		// finds the record already purged and counts nothing.
+		if ev.Status.Terminal() && len(ev.Result) > 0 && s.purgeAfterStream(ev.TaskID) {
+			s.mu.Lock()
+			s.streamPurged++
+			s.mu.Unlock()
 		}
 		return true
 	}

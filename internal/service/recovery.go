@@ -1,13 +1,13 @@
 // Crash recovery for a durable service instance (Config.DataDir).
 //
 // What the journal holds is the control plane's full word: registry
-// records (one JSON blob per record in "reg:<kind>" hashes), task
-// records/statuses/owners/results (the same hashes the live path
-// writes), per-endpoint task queues with their in-flight leases, and
-// each user's newest event seq. What it deliberately does not hold is
-// runtime state — forwarders, agent connections, client secrets,
-// leases' wall-clock deadlines — which recovery rebuilds or resolves
-// below. The sequence in recoverRegistry/recoverRuntime runs inside
+// records (one JSON blob per record in "reg:<kind>" hashes), one task
+// record image per live or unread task (record.go), per-endpoint task
+// queues with their in-flight leases, and each user's newest event
+// seq. What it deliberately does not hold is runtime state —
+// forwarders, agent connections, client secrets, leases' wall-clock
+// deadlines, and the dispatched/running steps of a task record — which
+// recovery rebuilds or infers below. The sequence in recoverRegistry/recoverRuntime runs inside
 // Open, strictly before the service accepts a request.
 package service
 
@@ -15,7 +15,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -83,46 +85,19 @@ func recoverKind[T any](s *Service, kind string, put func(*T) error) error {
 }
 
 // recoverRuntime rebuilds everything the live request path needs that
-// is not a plain store read: the in-flight task map, event-stream
-// numbering, the delivery state of every queue, and one forwarder per
-// endpoint. Runs after the registry is recovered and before any
-// background goroutine starts.
+// is not a plain store read: the task records, event-stream numbering,
+// the delivery state of every queue, and one forwarder per endpoint.
+// Runs after the registry is recovered and before any background
+// goroutine starts.
 func (s *Service) recoverRuntime() error {
-	// Dependency graphs first: recoverDAGs rebuilds the graph tables
-	// from the journal and reports the node ids the generic sweeps
-	// below must leave alone — held nodes have owner/status records but
-	// no task record (by design, they were never placed), and the
-	// inflight sweep would otherwise retire them as lost.
-	dagHeld := s.recoverDAGs()
-
-	// In-flight map: every owner-recorded task without a stored result
-	// is still live from its caller's perspective — the terminal event
-	// never published, so whatever happens to the task next (delivery,
-	// redelivery, loss) must find the owner and wake waiters.
-	owners := s.Store.Hash(ownersHash)
-	results := s.Store.Hash(resultsHash)
-	tasksH := s.Store.Hash(tasksHash)
-	s.mu.Lock()
-	for _, id := range owners.Keys() {
-		if dagHeld[types.TaskID(id)] {
-			continue
-		}
-		if _, done := results.Get(id); done {
-			continue
-		}
-		owner, ok := owners.Get(id)
-		if !ok {
-			continue
-		}
-		var epID types.EndpointID
-		if data, ok := tasksH.Get(id); ok {
-			if task, err := wire.DecodeTask(data); err == nil {
-				epID = task.EndpointID
-			}
-		}
-		s.inflight[types.TaskID(id)] = inflightTask{owner: types.UserID(owner), endpoint: epID}
+	// Task records first: every later step reads them. A recovered
+	// record says queued where the dead process had it dispatched or
+	// running — those steps were never journaled, and the lease
+	// reconciliation below requeues every leased task anyway.
+	if err := s.recoverRecords(); err != nil {
+		return err
 	}
-	s.mu.Unlock()
+	s.recoverDAGs()
 
 	// Event numbering: seed each user's stream past the newest seq the
 	// dead process published, so recovery-side events cannot reuse a
@@ -145,7 +120,7 @@ func (s *Service) recoverRuntime() error {
 	for _, ep := range eps {
 		s.reconcileQueue(ep.ID)
 	}
-	s.sweepInflight(eps)
+	s.sweepUnqueued(eps)
 	for _, ep := range eps {
 		if _, err := s.startForwarder(ep.ID); err != nil {
 			return fmt.Errorf("service: restarting forwarder for endpoint %s: %w", ep.ID, err)
@@ -160,11 +135,13 @@ func (s *Service) recoverRuntime() error {
 
 // reconcileQueue resolves the recovered delivery state of one
 // endpoint's queue. A recovered lease means the task was dispatched
-// to an agent that died with the shard: if its result already landed
-// the lease is just a stale receipt (acked away); an at-most-once
-// task may have executed, so it lands as lost rather than redeliver;
-// everything else requeues for redelivery when an agent re-attaches —
-// the same at-least-once contract a live reclaim applies.
+// to an agent that died with the shard: if its task already retired
+// (or was read and purged), or the lease is of an attempt the record
+// has since requeued past, it is just a stale receipt (acked away);
+// an at-most-once task may have executed, so it lands as lost rather
+// than redeliver; everything else requeues for redelivery when an
+// agent re-attaches — the same at-least-once contract a live reclaim
+// applies.
 func (s *Service) reconcileQueue(epID types.EndpointID) {
 	q := s.Store.Queue(store.TaskQueueName(string(epID)))
 	for receipt, item := range q.Pending() {
@@ -173,8 +150,8 @@ func (s *Service) reconcileQueue(epID types.EndpointID) {
 			q.Ack(receipt) //nolint:errcheck // dropping an undecodable lease
 			continue
 		}
-		if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
-			q.Ack(receipt) //nolint:errcheck // result already landed
+		if rec, ok := s.record(task.ID); !ok || rec.status.Terminal() || task.Attempt < rec.attempt {
+			q.Ack(receipt) //nolint:errcheck // result already landed, or a superseded attempt
 			continue
 		}
 		if task.AtMostOnce {
@@ -186,47 +163,35 @@ func (s *Service) reconcileQueue(epID types.EndpointID) {
 	}
 }
 
-// sweepInflight catches tasks the journal shows as accepted but
-// neither queued, leased, nor finished — the narrow window of a crash
-// between a dispatch ack and its result write. They re-enter through
-// the reclaim path (budget checks, at-most-once handling, failover)
-// so their callers' futures resolve instead of hanging forever.
-func (s *Service) sweepInflight(eps []*types.Endpoint) {
+// sweepUnqueued catches tasks whose record is live but which are
+// neither queued nor leased — the narrow window of a crash between a
+// dispatch ack and its result write. They re-enter through the reclaim
+// path (budget checks, at-most-once handling, failover) so their
+// callers' futures resolve instead of hanging forever; a record whose
+// task frame does not decode (a journal written by an older codec)
+// retires as lost. Held DAG nodes (pending) are left to resumeDAGs.
+func (s *Service) sweepUnqueued(eps []*types.Endpoint) {
 	present := make(map[types.TaskID]bool)
 	for _, ep := range eps {
 		q := s.Store.Queue(store.TaskQueueName(string(ep.ID)))
-		for _, item := range q.Items() {
-			if task, err := wire.DecodeTask(item); err == nil {
-				present[task.ID] = true
-			}
-		}
-		for _, item := range q.Pending() {
+		for _, item := range append(q.Items(), slices.Collect(maps.Values(q.Pending()))...) {
 			if task, err := wire.DecodeTask(item); err == nil {
 				present[task.ID] = true
 			}
 		}
 	}
-	s.mu.Lock()
-	live := make(map[types.TaskID]inflightTask, len(s.inflight))
-	for id, info := range s.inflight {
-		live[id] = info
+	orphans := make(map[types.TaskID]taskRecord)
+	s.recMu.Lock()
+	for id, rec := range s.records {
+		if !present[id] && rec.status != types.TaskPending && !rec.status.Terminal() {
+			orphans[id] = rec
+		}
 	}
-	s.mu.Unlock()
-	for id, info := range live {
-		if present[id] {
-			continue
-		}
-		if st, ok := s.Store.Hash(statusHash).Get(string(id)); ok && types.TaskStatus(st).Terminal() {
-			continue
-		}
-		data, ok := s.Store.Hash(tasksHash).Get(string(id))
-		if !ok {
-			s.lose(&types.Task{ID: id, Owner: info.owner}, "task record lost in crash")
-			continue
-		}
-		task, err := wire.DecodeTask(data)
+	s.recMu.Unlock()
+	for id, rec := range orphans {
+		task, err := wire.DecodeTask(rec.task)
 		if err != nil {
-			s.lose(&types.Task{ID: id, Owner: info.owner}, "task record corrupt after crash")
+			s.lose(&types.Task{ID: id, Owner: rec.owner, EndpointID: rec.endpoint}, "task record corrupt after crash")
 			continue
 		}
 		s.reclaim(task, "shard restart")

@@ -86,34 +86,28 @@ func TestReattachAfterRecovery(t *testing.T) {
 	}
 }
 
-// TestJSONEraTaskRecordsRecoverAsLost restarts a durable service on a
-// journal written before tasks were framed in binary: its task records
-// and queue entries are JSON. Every such task must resolve as TaskLost
-// instead of hanging, and its undecodable lease must be dropped, never
-// requeued for an agent.
-func TestJSONEraTaskRecordsRecoverAsLost(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: dir}
-
-	svc1, err := Open(cfg)
+// registerDurableEndpoint opens a durable service in dir, registers
+// one endpoint, and closes the service again.
+func registerDurableEndpoint(t *testing.T, cfg Config) types.EndpointID {
+	t.Helper()
+	svc, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	srv1 := httptest.NewServer(svc1)
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
 	var reg api.RegisterEndpointResponse
-	if code := doJSON(t, srv1, svc1.MintUserToken("alice", auth.ScopeAll), http.MethodPost, "/v1/endpoints",
+	if code := doJSON(t, srv, svc.MintUserToken("alice", auth.ScopeAll), http.MethodPost, "/v1/endpoints",
 		api.RegisterEndpointRequest{Name: "ep1"}, &reg); code != http.StatusCreated {
 		t.Fatalf("register = %d", code)
 	}
-	srv1.Close()
-	svc1.Close()
+	return reg.EndpointID
+}
 
-	// Journal two JSON-era tasks with the service down: one dispatched
-	// (its queue entry leased), one still queued.
-	frame := func(id string) []byte {
-		return []byte(`{"task_id":"` + id + `","function_id":"fn-1","endpoint_id":"` + string(reg.EndpointID) +
-			`","owner":"alice","container":{},"payload":"eA==","attempt":1}`)
-	}
+// openJournal opens a data dir's store directly, with the service down.
+func openJournal(t *testing.T, dir string) *store.Store {
+	t.Helper()
 	log, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +116,31 @@ func TestJSONEraTaskRecordsRecoverAsLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := st.Queue(store.TaskQueueName(string(reg.EndpointID)))
-	for id, status := range map[string]types.TaskStatus{"t-leased": types.TaskDispatched, "t-queued": types.TaskQueued} {
-		st.Hash(ownersHash).Set(id, []byte("alice"))
-		st.Hash(tasksHash).Set(id, frame(id))
-		st.Hash(statusHash).Set(id, []byte(status))
+	return st
+}
+
+// TestJSONEraTaskRecordsRecoverAsLost restarts a durable service on
+// task records whose embedded task frames were written before tasks
+// were framed in binary: they are JSON. Every such task must resolve
+// as TaskLost instead of hanging, and its undecodable lease must be
+// dropped, never kept or requeued for an agent.
+func TestJSONEraTaskRecordsRecoverAsLost(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: dir}
+	epID := registerDurableEndpoint(t, cfg)
+
+	// Journal two tasks with JSON frames while the service is down: one
+	// dispatched (its queue entry leased), one still queued.
+	frame := func(id string) []byte {
+		return []byte(`{"task_id":"` + id + `","function_id":"fn-1","endpoint_id":"` + string(epID) +
+			`","owner":"alice","container":{},"payload":"eA==","attempt":1}`)
+	}
+	st := openJournal(t, dir)
+	q := st.Queue(store.TaskQueueName(string(epID)))
+	for _, id := range []string{"t-leased", "t-queued"} {
+		st.Hash(recordsHash).Set(id, encodeRecord(taskRecord{
+			owner: "alice", endpoint: epID, status: types.TaskQueued, attempt: 1, task: frame(id),
+		}))
 	}
 	if err := q.Push(frame("t-leased")); err != nil {
 		t.Fatal(err)
@@ -146,7 +160,7 @@ func TestJSONEraTaskRecordsRecoverAsLost(t *testing.T) {
 	defer svc2.Close()
 	// The forwarder's orphan scan may briefly lease (then drop) the
 	// queued JSON frame, so only the recovered lease is checked.
-	q = svc2.Store.Queue(store.TaskQueueName(string(reg.EndpointID)))
+	q = svc2.Store.Queue(store.TaskQueueName(string(epID)))
 	for _, item := range q.Pending() {
 		if bytes.Equal(item, frame("t-leased")) {
 			t.Fatal("the undecodable lease survived recovery")
@@ -158,6 +172,11 @@ func TestJSONEraTaskRecordsRecoverAsLost(t *testing.T) {
 		}
 	}
 	ids := []types.TaskID{"t-leased", "t-queued"}
+	for _, id := range ids {
+		if status, err := svc2.Status(id); err != nil || status != types.TaskLost {
+			t.Fatalf("%s status = %s (%v), want %s", id, status, err, types.TaskLost)
+		}
+	}
 	results, pending := svc2.WaitTasks(context.Background(), ids, 5*time.Second)
 	if len(pending) != 0 || len(results) != len(ids) {
 		t.Fatalf("results %d, pending %v; want every task resolved", len(results), pending)
@@ -166,8 +185,28 @@ func TestJSONEraTaskRecordsRecoverAsLost(t *testing.T) {
 		if !res.Lost || !strings.Contains(res.Err, "task record corrupt after crash") {
 			t.Fatalf("result %+v, want lost with a corrupt-record error", res)
 		}
-		if status, _ := svc2.Store.Hash(statusHash).Get(string(res.TaskID)); types.TaskStatus(status) != types.TaskLost {
-			t.Fatalf("%s status = %s, want %s", res.TaskID, status, types.TaskLost)
-		}
+	}
+}
+
+// TestPreRecordJournalRefused: a data dir whose journal still holds
+// the per-task owners/tasks/status/results hashes of the format before
+// the task record must fail Open with an error naming that format,
+// rather than boot with those in-flight tasks silently gone.
+func TestPreRecordJournalRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{HeartbeatPeriod: 50 * time.Millisecond, DataDir: dir}
+	registerDurableEndpoint(t, cfg)
+	st := openJournal(t, dir)
+	st.Hash("owners").Set("t-old", []byte("alice"))
+	st.Hash("status").Set("t-old", []byte(types.TaskQueued))
+	st.Close()
+
+	svc, err := Open(cfg)
+	if err == nil {
+		svc.Close()
+		t.Fatal("Open booted over a pre-record journal")
+	}
+	if !strings.Contains(err.Error(), "pre-record task journal") {
+		t.Fatalf("Open error %q does not name the journal format", err)
 	}
 }

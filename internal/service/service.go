@@ -252,13 +252,11 @@ type Service struct {
 	// larger than DAGInlineLimit travel through (see internal/dataref).
 	Datarefs *dataref.Fabric
 
-	// dagMu guards the dependency-graph tables. It may be taken alone
-	// or over s.mu, and NEVER across a resultsHash write (the results
-	// watch re-enters the DAG path). dags holds every graph (finished
-	// ones stay for GET /v1/dags/{id} until DAGRetention expires);
-	// dagByTask routes a stored result to the graph nodes waiting on
-	// that task id; dagDoneAt stamps when each graph finished so the
-	// retention sweeper knows what to evict.
+	// dagMu guards the dependency-graph tables (lock order at recMu).
+	// dags holds every graph (finished ones stay for GET /v1/dags/{id}
+	// until DAGRetention expires); dagByTask routes a terminal task to
+	// the graph nodes waiting on that task id; dagDoneAt stamps when
+	// each graph finished so the retention sweeper knows what to evict.
 	dagMu     sync.Mutex
 	dags      map[types.DAGID]*dag.Graph
 	dagByTask map[types.TaskID][]dagRef
@@ -274,17 +272,17 @@ type Service struct {
 	movedKeys    map[string]shard.ID
 	importedKeys map[string]bool
 
-	mu sync.Mutex
-	// statusMu serializes lifecycle-status transitions so the
-	// dispatched write cannot regress a concurrently landed terminal
-	// status (check-then-set must be atomic across writers).
-	statusMu   sync.Mutex
+	// recMu guards records, the one record per accepted task
+	// (record.go); transition is their only writer. Lock order:
+	// recMu → dagMu → s.mu, and recMu → seqMu → store and event-bus
+	// locks. A terminal transition applies its graph step under recMu,
+	// so nothing may take recMu while holding dagMu; graph code reads
+	// records only outside dagMu (resumeDAGs snapshots them first).
+	recMu   sync.Mutex
+	records map[types.TaskID]taskRecord
+
+	mu         sync.Mutex
 	forwarders map[types.EndpointID]*forwarder.Forwarder
-	// inflight tracks each accepted-but-unretired task: the owner
-	// (event routing), placed endpoint, and service-side TS latency
-	// component. The entry is consumed when the terminal event
-	// publishes, which also deduplicates at-least-once redeliveries.
-	inflight map[types.TaskID]inflightTask
 	// reclaims tracks a decaying per-endpoint reclaim/lost rate — the
 	// router's lease-aware penalty source.
 	reclaims map[types.EndpointID]*decayCounter
@@ -320,13 +318,6 @@ type Service struct {
 	// because the terminal event carrying them was delivered on the
 	// owner's SSE stream (ack-on-stream purge).
 	streamPurged int64
-}
-
-// inflightTask is the service-side record of one accepted task.
-type inflightTask struct {
-	owner    types.UserID
-	endpoint types.EndpointID
-	ts       time.Duration
 }
 
 // New creates a service ready to serve its Handler, panicking if the
@@ -421,7 +412,7 @@ func Open(cfg Config) (*Service, error) {
 		Events:       events.New(events.Config{Ring: cfg.EventRing, IdleTTL: cfg.EventIdleTTL}),
 		log:          logger,
 		forwarders:   make(map[types.EndpointID]*forwarder.Forwarder),
-		inflight:     make(map[types.TaskID]inflightTask),
+		records:      make(map[types.TaskID]taskRecord),
 		reclaims:     make(map[types.EndpointID]*decayCounter),
 		seqJournaled: make(map[types.UserID]uint64),
 		movedKeys:    make(map[string]shard.ID),
@@ -484,10 +475,6 @@ func Open(cfg Config) (*Service, error) {
 	if s.Store.Persistent() {
 		s.Registry.SetOnChange(s.persistRegistryRecord)
 	}
-	// Result-hash writes are the completion signal: the watch fires
-	// for forwarder-stored and memo-served results alike, publishing
-	// the terminal event (which wakes every blocked waiter).
-	s.Store.Hash(resultsHash).SetWatch(s.onResultStored)
 	s.Router = router.New(s.routingStatus, s.endpointLabels)
 	s.Router.Penalty = s.routingPenalty
 	s.Elastic = elastic.NewController(elastic.Config{
@@ -501,8 +488,8 @@ func Open(cfg Config) (*Service, error) {
 	})
 	//funcx:ignore ctxflow Open mints the service's root lifetime context; there is no caller context at process start.
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	// Runtime recovery: rebuild the in-flight map, seed event
-	// numbering, reconcile queued/leased tasks against landed results,
+	// Runtime recovery: load the task records, seed event numbering,
+	// reconcile queued/leased tasks against landed results,
 	// and restart a forwarder for every journaled endpoint — all
 	// before the first background goroutine or request can observe
 	// half-recovered state.
@@ -520,6 +507,7 @@ func Open(cfg Config) (*Service, error) {
 	if cfg.DAGRetention > 0 {
 		go s.evictFinishedDAGs()
 	}
+	go s.expireRecords()
 	s.Store.StartJanitor(time.Second)
 	// A recovered shard in a sharded deployment may have missed
 	// function replications while it was down: converge by pulling
@@ -617,14 +605,12 @@ func (s *Service) startForwarder(epID types.EndpointID) (*forwarder.Forwarder, e
 		EndpointID:      epID,
 		Network:         s.cfg.ForwarderNetwork,
 		TaskQueue:       s.Store.Queue(store.TaskQueueName(string(epID))),
-		Results:         s.Store.Hash(resultsHash),
-		ResultTTL:       0, // purge is driven by retrieval
 		HeartbeatPeriod: s.cfg.HeartbeatPeriod,
 		HeartbeatMisses: s.cfg.HeartbeatMisses,
 		DispatchLease:   s.cfg.DispatchLease,
 		Auth:            s.verifyEndpointToken,
 		Lat:             s.cfg.ForwarderLat,
-		OnResult:        s.onResult,
+		OnResult:        s.OnResult,
 		OnDispatched:    s.onDispatched,
 		OnRunning:       func(id types.TaskID) { s.onRunning(id, epID) },
 		OnOrphaned:      s.failover,
@@ -831,8 +817,8 @@ func (s *Service) failover(task *types.Task) bool {
 	}
 	// A task that already finished (its result landed concurrently
 	// with the disconnect) must not be re-queued: drop the stale
-	// redelivery instead of regressing its status and re-running it.
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
+	// redelivery instead of re-running it.
+	if rec, ok := s.record(task.ID); !ok || rec.status.Terminal() {
 		return true
 	}
 	g, err := s.Registry.Group(task.GroupID)
@@ -856,36 +842,15 @@ func (s *Service) failover(task *types.Task) bool {
 	}
 	task.EndpointID = target
 	data := wire.EncodeTask(task)
-	// Update the record before enqueueing so a fast completion on the
-	// new endpoint cannot be overwritten back to "queued". The
-	// terminal re-check and the status write share statusMu: a result
-	// landing between the entry check above and here (the window
-	// spans routing and encoding) must not be regressed — drop the
-	// redelivery instead. The fresh "queued" event naming the
-	// surviving member is published under the same lock, before the
-	// enqueue, so the new endpoint's dispatch can never precede it on
-	// the stream.
-	s.statusMu.Lock()
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
-		s.statusMu.Unlock()
+	// The record moves to the new endpoint (publishing its "queued"
+	// event) before the enqueue, so the new endpoint's dispatch can
+	// never precede it on the stream, and a late dispatch from the
+	// endpoint the task just left is refused as stale. A result that
+	// landed since the check above refuses the move: drop the
+	// redelivery.
+	if _, ok := s.transition(task.ID, types.TaskQueued, change{endpoint: target, attempt: task.Attempt, task: data}); !ok {
 		return true
 	}
-	s.Store.Hash(tasksHash).Set(string(task.ID), data)
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskQueued))
-	// The inflight endpoint moves inside the same statusMu section:
-	// onDispatched compares against it to drop a stale dispatch
-	// notification from the endpoint this task just left (statusMu
-	// nests over s.mu; nothing acquires them in the other order).
-	s.mu.Lock()
-	if info, ok := s.inflight[task.ID]; ok {
-		info.endpoint = target
-		s.inflight[task.ID] = info
-	}
-	s.mu.Unlock()
-	s.publish(task.Owner, types.TaskEvent{
-		TaskID: task.ID, Status: types.TaskQueued, EndpointID: target, Time: time.Now(),
-	})
-	s.statusMu.Unlock()
 	s.Trace.SetEndpoint(task.ID, target)
 	if err := s.Store.Queue(store.TaskQueueName(string(target))).Push(data); err != nil {
 		return false
@@ -900,15 +865,8 @@ func (s *Service) failover(task *types.Task) bool {
 
 // --- task lifecycle ---
 
-// taskStatusHash and resultHash name the Redis-style hashsets.
-// ownersHash records each accepted task's owner for the lifetime of
-// its record, so retrieval surfaces can enforce per-user access even
-// after the inflight entry is consumed (memo hits retire instantly).
+// The Redis-style hashsets besides the task records (record.go).
 const (
-	tasksHash   = "tasks"
-	statusHash  = "status"
-	resultsHash = "results"
-	ownersHash  = "owners"
 	// eventSeqHash journals each user's newest event seq (decimal
 	// string) so a recovered shard resumes numbering past every seq it
 	// ever handed a client as a Last-Event-ID.
@@ -935,7 +893,8 @@ const seqJournalStride = 64
 // instance, journals the owner's stream position. Every service-side
 // event publication goes through here — the persisted boundary is
 // what recovery seeds the bus with, so it must cover the newest
-// event.
+// event. Task events come only from transition, graph events only
+// from publishDAG.
 func (s *Service) publish(owner types.UserID, ev types.TaskEvent) {
 	seq := s.Events.Publish(owner, ev)
 	if !s.Store.Persistent() {
@@ -1186,17 +1145,13 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 			cached.TaskID = id
 			cached.Completed = time.Now()
 			cached.Timing = types.Timing{TS: time.Since(start)}
+			if _, ok := s.transition(id, types.TaskSuccess, change{owner: owner, endpoint: epID, ts: cached.Timing.TS, result: &cached}); !ok {
+				return "", "", false, fmt.Errorf("service: task %s already placed", id)
+			}
 			s.mu.Lock()
 			s.memoHits++
 			s.submitted++
-			// Registered before the result write so the hash watch can
-			// route the terminal event to the owner.
-			s.inflight[id] = inflightTask{owner: owner, endpoint: epID, ts: cached.Timing.TS}
 			s.mu.Unlock()
-			s.Store.Hash(ownersHash).Set(string(id), []byte(owner))
-			//funcx:ignore statusguard fresh task id served wholly from the memo cache: it is never enqueued, so no concurrent writer can race this terminal write.
-			s.Store.Hash(statusHash).Set(string(id), []byte(types.TaskSuccess))
-			s.Store.Hash(resultsHash).Set(string(id), wire.EncodeResult(&cached))
 			return id, epID, true, nil
 		}
 	}
@@ -1246,41 +1201,30 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 		s.Trace.Stamp(task.ID, trace.StageRouted)
 	}
 
-	// Store the task record and enqueue it for the endpoint, encoding
-	// once and sharing the bytes between record and queue (the encode
+	// Record the task and enqueue it for the endpoint, encoding once
+	// and sharing the bytes between record and queue (the encode
 	// dominated the submit hot path when paid twice). Both consumers
-	// only read the buffer. The inflight entry is registered *before*
-	// the enqueue: a result can land the instant the task is poppable,
-	// and its terminal event must find the owner.
+	// only read the buffer. The record goes first, publishing "queued":
+	// the instant the task is poppable its dispatched/terminal moves can
+	// land, and they need the record to move. (A failed enqueue leaves
+	// one stray queued event for a task the caller was told failed —
+	// the benign side of the trade.)
 	data := wire.EncodeTask(task)
-	ts := time.Since(start)
-	s.mu.Lock()
-	s.inflight[task.ID] = inflightTask{owner: owner, endpoint: epID, ts: ts}
-	s.submitted++
-	s.mu.Unlock()
-	s.Store.Hash(ownersHash).Set(string(task.ID), []byte(owner))
-	s.Store.Hash(tasksHash).Set(string(task.ID), data)
-	//funcx:ignore statusguard pre-enqueue: the id only becomes poppable at the Push below, so no concurrent transition exists yet.
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskQueued))
-	// Published before the enqueue: the instant the task is poppable
-	// its dispatched/terminal events can land, and the stream must
-	// never show them ahead of "queued". (A failed enqueue leaves one
-	// stray queued event for a task the caller was told failed — the
-	// benign side of the trade.)
-	//funcx:ignore statusguard pre-enqueue: the id only becomes poppable at the Push below, so no concurrent transition can reorder against this queued event.
-	s.publish(owner, types.TaskEvent{
-		TaskID: task.ID, Status: types.TaskQueued, EndpointID: epID, Time: time.Now(),
-	})
+	if _, ok := s.transition(task.ID, types.TaskQueued, change{
+		owner: owner, endpoint: epID, attempt: 1, ts: time.Since(start), task: data,
+	}); !ok {
+		s.Trace.Drop(task.ID)
+		return "", "", false, fmt.Errorf("service: task %s already placed", task.ID)
+	}
 	s.Trace.Stamp(task.ID, trace.StageQueued)
 	if err := s.Store.Queue(store.TaskQueueName(string(epID))).Push(data); err != nil {
-		s.mu.Lock()
-		delete(s.inflight, task.ID)
-		s.submitted--
-		s.mu.Unlock()
-		s.Store.Hash(ownersHash).Del(string(task.ID))
+		s.transition(task.ID, recordGone, change{})
 		s.Trace.Drop(task.ID)
 		return "", "", false, fmt.Errorf("service: enqueue: %w", err)
 	}
+	s.mu.Lock()
+	s.submitted++
+	s.mu.Unlock()
 	if s.log.Enabled(s.ctx, slog.LevelDebug) {
 		s.log.Debug("task placed",
 			"task_id", string(task.ID), "endpoint_id", string(epID),
@@ -1290,119 +1234,51 @@ func (s *Service) place(owner types.UserID, p *preparedSubmission, start time.Ti
 	return task.ID, epID, false, nil
 }
 
-// onResult runs in the forwarder when a result arrives, before it is
-// stored: it stamps the TS component, updates status, and feeds the
-// memo cache. Waiter wakeup happens downstream, when the stored
-// result's hash watch publishes the terminal event.
-func (s *Service) onResult(res *types.Result) {
-	s.mu.Lock()
-	if info, ok := s.inflight[res.TaskID]; ok {
-		res.Timing.TS = info.ts
-	}
-	s.mu.Unlock()
-
-	status := terminalStatusOf(res)
-	s.statusMu.Lock()
-	// Never regress a landed terminal status: a late result from a
-	// past attempt (or from an agent whose task was already reclaimed
-	// as lost) must not flip the record.
-	if st, ok := s.Store.Hash(statusHash).Get(string(res.TaskID)); !ok || !types.TaskStatus(st).Terminal() {
-		s.Store.Hash(statusHash).Set(string(res.TaskID), []byte(status))
-	}
-	s.statusMu.Unlock()
+// OnResult is the sink for every result an endpoint returns (the
+// forwarder's OnResult hook): it feeds the memo cache when the task
+// opted in and retires the task with the result's terminal status,
+// stamping the TS component and publishing the terminal event that
+// wakes every waiter. A result for a task that is already terminal or
+// unknown — an at-least-once redelivery, or a result racing a loss —
+// is dropped; the first terminal wins.
+func (s *Service) OnResult(res *types.Result) {
 	s.Trace.Stamp(res.TaskID, trace.StageResult)
 	s.Trace.Remote(res.TaskID, res.Trace)
-
-	// Feed the memoization cache when the task opted in; the header
-	// says so without decoding the stored task.
-	if data, ok := s.Store.Hash(tasksHash).Get(string(res.TaskID)); ok && wire.TaskMemoize(data) {
-		if task, err := wire.DecodeTask(data); err == nil {
+	// The memo cache is fed before the terminal event, so a caller that
+	// resubmits the moment its result arrives already hits it; the task
+	// frame's header says whether it opted in without a decode.
+	if rec, ok := s.record(res.TaskID); ok && wire.TaskMemoize(rec.task) {
+		if task, err := wire.DecodeTask(rec.task); err == nil {
 			s.Memo.Store(task.BodyHash, task.Payload, *res)
 		}
 	}
+	s.transition(res.TaskID, types.TerminalStatus(res.Lost, res.Failed()), change{result: res})
 }
 
 // onDispatched runs in the forwarder after a task ships to the agent:
-// it advances the lifecycle status and publishes the "dispatched"
-// event. A terminal status is never regressed (redeliveries race
-// fast completions).
+// the record moves to dispatched, unless the task already moved on
+// (running or terminal) or this dispatch is stale — from an endpoint
+// failover re-homed it away from, or of an older attempt.
 func (s *Service) onDispatched(task *types.Task) {
-	s.statusMu.Lock()
-	// Skip when terminal, and also when already running: the running
-	// signal can outrace this notification (different path), and a
-	// dispatched event published after running would break the
-	// per-task stream order.
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok &&
-		(types.TaskStatus(st).Terminal() || types.TaskStatus(st) == types.TaskRunning) {
-		s.statusMu.Unlock()
-		return
+	if _, ok := s.transition(task.ID, types.TaskDispatched, change{endpoint: task.EndpointID, attempt: task.Attempt}); ok {
+		s.Trace.Stamp(task.ID, trace.StageDispatched)
 	}
-	// Drop stale notifications: if failover already re-homed the task
-	// (inflight names a different endpoint), this dispatch is from
-	// the endpoint it just left and must not overwrite "queued" or
-	// put a dispatched(old-endpoint) event on the stream.
-	s.mu.Lock()
-	info, ok := s.inflight[task.ID]
-	s.mu.Unlock()
-	if ok && info.endpoint != task.EndpointID {
-		s.statusMu.Unlock()
-		return
-	}
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskDispatched))
-	// Published under statusMu: a concurrently landing terminal event
-	// must take the lock before its status write, so it cannot reach
-	// the stream ahead of this one (events.Bus never re-enters the
-	// service, so the lock order is safe).
-	s.publish(task.Owner, types.TaskEvent{
-		TaskID: task.ID, Status: types.TaskDispatched, EndpointID: task.EndpointID, Time: time.Now(),
-	})
-	s.statusMu.Unlock()
-	s.Trace.Stamp(task.ID, trace.StageDispatched)
-}
-
-// terminalStatusOf maps a stored result to the terminal status it
-// retires its task with.
-func terminalStatusOf(res *types.Result) types.TaskStatus {
-	return types.TerminalStatus(res.Lost, res.Failed())
 }
 
 // onRunning runs in the forwarder when the agent relays a worker's
-// execution-start signal: it advances the lifecycle status to running
-// and publishes the TaskRunning event. The signal races the dispatch
-// notification (it travels a different path), so a running that
-// arrives while the record still says queued first publishes the
-// dispatched transition it proves happened — the per-task stream
-// order queued ≤ dispatched ≤ running ≤ terminal always holds.
+// execution-start signal. The signal races the dispatch notification
+// (it travels a different path), so the dispatch it proves happened is
+// applied first when the record still says queued; a late
+// onDispatched is then refused, and the per-task stream order
+// queued ≤ dispatched ≤ running ≤ terminal always holds. Signals from
+// an endpoint the task has already left are refused.
 func (s *Service) onRunning(id types.TaskID, epID types.EndpointID) {
-	s.statusMu.Lock()
-	defer s.statusMu.Unlock()
-	st, ok := s.Store.Hash(statusHash).Get(string(id))
-	if !ok || types.TaskStatus(st).Terminal() {
-		return
-	}
-	// Drop stale signals from an endpoint the task has already left
-	// (reclaim/failover re-homed it while the old worker spun up).
-	s.mu.Lock()
-	info, tracked := s.inflight[id]
-	s.mu.Unlock()
-	if !tracked || info.endpoint != epID {
-		return
-	}
-	if types.TaskStatus(st) == types.TaskQueued {
-		s.Store.Hash(statusHash).Set(string(id), []byte(types.TaskDispatched))
-		s.publish(info.owner, types.TaskEvent{
-			TaskID: id, Status: types.TaskDispatched, EndpointID: epID, Time: time.Now(),
-		})
-		// The running signal outran the dispatch notification; the
-		// dispatch it proves happened is stamped now (first wins, so a
-		// late onDispatched cannot rewind it).
+	if _, ok := s.transition(id, types.TaskDispatched, change{endpoint: epID}); ok {
 		s.Trace.Stamp(id, trace.StageDispatched)
 	}
-	s.Store.Hash(statusHash).Set(string(id), []byte(types.TaskRunning))
-	s.publish(info.owner, types.TaskEvent{
-		TaskID: id, Status: types.TaskRunning, EndpointID: epID, Time: time.Now(),
-	})
-	s.Trace.Stamp(id, trace.StageRunning)
+	if _, ok := s.transition(id, types.TaskRunning, change{endpoint: epID}); ok {
+		s.Trace.Stamp(id, trace.StageRunning)
+	}
 }
 
 // reclaim is the forwarder's OnReclaim hook: a dispatched task's
@@ -1420,8 +1296,9 @@ func (s *Service) reclaim(task *types.Task, reason string) bool {
 		return false
 	}
 	// Already retired (the result landed concurrently with the
-	// reclaim): nothing to recover, drop the stale receipt.
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
+	// reclaim), or a lease of an attempt the task has since moved past:
+	// nothing to recover, drop the stale receipt.
+	if rec, ok := s.record(task.ID); !ok || rec.status.Terminal() || task.Attempt < rec.attempt {
 		return true
 	}
 	// Every genuine reclaim — including the ones that land as lost
@@ -1450,21 +1327,13 @@ func (s *Service) reclaim(task *types.Task, reason string) bool {
 	}
 	// Direct task — or a group task with no healthy alternative right
 	// now: requeue on its own endpoint with the bumped attempt, to be
-	// redelivered when the agent is (back) up. The write order mirrors
-	// failover: record and queued status land under statusMu before
-	// the enqueue, re-checking that no terminal result slipped in.
+	// redelivered when the agent is (back) up. As in failover, the
+	// record moves before the enqueue, and a terminal result that
+	// slipped in refuses the move.
 	data := wire.EncodeTask(task)
-	s.statusMu.Lock()
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
-		s.statusMu.Unlock()
+	if _, ok := s.transition(task.ID, types.TaskQueued, change{endpoint: task.EndpointID, attempt: task.Attempt, task: data}); !ok {
 		return true
 	}
-	s.Store.Hash(tasksHash).Set(string(task.ID), data)
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskQueued))
-	s.publish(task.Owner, types.TaskEvent{
-		TaskID: task.ID, Status: types.TaskQueued, EndpointID: task.EndpointID, Time: time.Now(),
-	})
-	s.statusMu.Unlock()
 	if err := s.Store.Queue(store.TaskQueueName(string(task.EndpointID))).Push(data); err != nil {
 		return false
 	}
@@ -1549,103 +1418,31 @@ func (s *Service) retryBudget(task *types.Task) int {
 }
 
 // lose retires a task as TaskLost: the delivery layer gave up on it.
-// A synthetic Lost result is stored through the normal results hash,
-// so the terminal event publishes, waiters wake, and the caller's
-// future resolves with a typed error instead of hanging forever.
+// A synthetic Lost result retires the record like any other, so the
+// terminal event publishes, waiters wake, and the caller's future
+// resolves with a typed error instead of hanging forever. A real
+// result that landed first wins.
 func (s *Service) lose(task *types.Task, why string) {
 	s.log.Warn("task lost",
 		"task_id", string(task.ID), "endpoint_id", string(task.EndpointID), "reason", why)
-	s.statusMu.Lock()
-	if st, ok := s.Store.Hash(statusHash).Get(string(task.ID)); ok && types.TaskStatus(st).Terminal() {
-		s.statusMu.Unlock()
-		return
-	}
-	s.Store.Hash(statusHash).Set(string(task.ID), []byte(types.TaskLost))
-	s.statusMu.Unlock()
-	s.mu.Lock()
-	s.lost++
-	_, pending := s.inflight[task.ID]
-	s.mu.Unlock()
-	// A real result racing this give-up may have stored and published
-	// between the status write above and here (it consumed the
-	// inflight entry). Writing the synthetic result then would
-	// overwrite genuine output after its terminal event already went
-	// out — skip it; the stored real result stands.
-	if !pending {
-		return
-	}
 	res := &types.Result{
 		TaskID:    task.ID,
 		Err:       fmt.Sprintf(`{"message":%q,"task_id":%q}`, "task lost: "+why, task.ID),
 		Lost:      true,
 		Completed: time.Now(),
 	}
-	// The result write is outside statusMu: the hash watch
-	// (onResultStored) re-acquires it to publish the terminal event.
-	s.Store.Hash(resultsHash).Set(string(task.ID), wire.EncodeResult(res))
-}
-
-// onResultStored is the results-hash completion hook: it fires once
-// per stored result (forwarder path and memo path alike), consumes
-// the task's inflight entry, and publishes the terminal event — which
-// in turn wakes every waiter blocked on the task through the bus.
-// Re-writes of an already-retired task (purge TTL re-stamps,
-// duplicate at-least-once deliveries) find no inflight entry and
-// publish nothing.
-func (s *Service) onResultStored(field string, value []byte) {
-	id := types.TaskID(field)
-	s.mu.Lock()
-	info, ok := s.inflight[id]
-	if ok {
-		delete(s.inflight, id)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	status := types.TaskSuccess
-	if st, err := wire.ResultStatus(value); err == nil {
-		status = st
-	}
-	// Ensure the status record is terminal even when the result was
-	// written without passing through onResult — and when a terminal
-	// status already landed (e.g. the delivery layer gave the task up
-	// as lost just as its real result arrived), that first terminal
-	// wins: the published event must agree with the record.
-	s.statusMu.Lock()
-	if st, ok := s.Store.Hash(statusHash).Get(field); ok && types.TaskStatus(st).Terminal() {
-		status = types.TaskStatus(st)
-	} else {
-		s.Store.Hash(statusHash).Set(field, []byte(status))
-	}
-	s.statusMu.Unlock()
-	// DAG step: when any graph is waiting on this task, journal its
-	// output and apply the transitions now, but execute the unlocked
-	// releases/failures only after the terminal publish — each action
-	// stores a result of its own and recurses through this hook.
-	dagID, dagAfter := s.applyDAGResult(id, status, info.endpoint, value)
-	//funcx:ignore statusguard the terminal status was resolved first-wins under statusMu above; publishing outside keeps the DAG cascade off the lock.
-	s.publish(info.owner, types.TaskEvent{
-		TaskID: id, Status: status, EndpointID: info.endpoint, Result: value, DAGID: dagID, Time: time.Now(),
-	})
-	// Finish after the terminal publish so the publish stage covers the
-	// event fan-out; folding the timeline into the stage histograms is
-	// what makes the task visible to GET /v1/tasks/{id}/trace.
-	s.Trace.Finish(id)
-	if dagAfter != nil {
-		dagAfter()
-	}
-	if s.log.Enabled(s.ctx, slog.LevelDebug) {
-		s.log.Debug("task retired",
-			"task_id", string(id), "endpoint_id", string(info.endpoint), "status", string(status),
-			"trace_id", trace.TraceID(id, dagID))
+	if _, ok := s.transition(task.ID, types.TaskLost, change{result: res}); ok {
+		s.mu.Lock()
+		s.lost++
+		s.mu.Unlock()
 	}
 }
 
-// Status returns a task's lifecycle state.
+// Status returns a task's lifecycle state. A purged task — its result
+// read, its retention over — is not found, like one never submitted.
 func (s *Service) Status(id types.TaskID) (types.TaskStatus, error) {
-	if b, ok := s.Store.Hash(statusHash).Get(string(id)); ok {
-		return types.TaskStatus(b), nil
+	if rec, ok := s.record(id); ok {
+		return rec.status, nil
 	}
 	return "", fmt.Errorf("%w: task %s", registry.ErrNotFound, id)
 }
@@ -1666,31 +1463,19 @@ func (s *Service) TaskTrace(actor types.UserID, id types.TaskID) (*trace.Timelin
 	return tl, nil
 }
 
-// Result fetches a task result, optionally blocking up to wait for it.
-// Retrieved results are scheduled for purge from the store (§4.1).
-// Blocking is unified on the task event bus (WaitTasks): no
-// per-connection waiter state survives the call. The caller's context
-// bounds the block, so an abandoned HTTP retrieval releases its waiter
-// immediately.
-func (s *Service) Result(ctx context.Context, id types.TaskID, wait time.Duration) (*types.Result, error) {
-	done, _ := s.WaitTasks(ctx, []types.TaskID{id}, wait)
-	if len(done) == 0 {
-		return nil, nil // not ready
-	}
-	return done[0], nil
-}
-
-// ResultFor is Result with per-user access control: when actor is
-// non-empty, a task owned by a different user is reported as not
-// found — holding a task's capability UUID no longer grants access to
-// its output, matching the event stream's strict per-user model. The
-// HTTP retrieval surfaces call this; trusted in-process callers use
-// Result directly.
+// ResultFor fetches one task result, optionally blocking up to wait
+// for it: WaitTasksFor over the single id, so a task owned by a user
+// other than a non-empty actor is reported as not found (holding a
+// task's capability UUID grants no access to its output, matching the
+// event stream's strict per-user model), a retrieved result is purged
+// (§4.1), and the caller's context bounds the block. A nil result means
+// not ready yet.
 func (s *Service) ResultFor(ctx context.Context, actor types.UserID, id types.TaskID, wait time.Duration) (*types.Result, error) {
-	if err := s.checkOwnership(actor, id); err != nil {
+	done, _, err := s.WaitTasksFor(ctx, actor, []types.TaskID{id}, wait)
+	if err != nil || len(done) == 0 {
 		return nil, err
 	}
-	return s.Result(ctx, id, wait)
+	return done[0], nil
 }
 
 // WaitTasksFor is WaitTasks with per-user access control: when actor
@@ -1708,7 +1493,7 @@ func (s *Service) WaitTasksFor(ctx context.Context, actor types.UserID, ids []ty
 }
 
 // checkOwnership rejects a task id recorded as owned by someone other
-// than actor. Ids with no owner record (never submitted, or already
+// than actor. Ids with no record (never submitted, or already
 // retrieved and purged) pass through: they behave exactly like
 // unknown tasks on every surface, so rejecting them would leak
 // existence and break retry-after-retrieval flows.
@@ -1716,7 +1501,7 @@ func (s *Service) checkOwnership(actor types.UserID, id types.TaskID) error {
 	if actor == "" {
 		return nil
 	}
-	if o, ok := s.Store.Hash(ownersHash).Get(string(id)); ok && types.UserID(o) != actor {
+	if rec, ok := s.record(id); ok && rec.owner != actor {
 		return fmt.Errorf("%w: task %s", registry.ErrNotFound, id)
 	}
 	return nil
@@ -1742,11 +1527,11 @@ func (s *Service) WaitTasks(ctx context.Context, ids []types.TaskID, wait time.D
 	}
 	results := make(map[types.TaskID]*types.Result, len(uniq))
 	take := func(id types.TaskID) {
-		b, ok := s.Store.Hash(resultsHash).Get(string(id))
-		if !ok {
+		rec, ok := s.record(id)
+		if !ok || rec.result == nil {
 			return
 		}
-		res, err := wire.DecodeResult(b)
+		res, err := wire.DecodeResult(rec.result)
 		if err != nil {
 			// A corrupt stored result (unreachable via EncodeResult)
 			// stays pending rather than failing the batch.
@@ -1815,23 +1600,10 @@ func (s *Service) WaitTasks(ctx context.Context, ids []types.TaskID, wait time.D
 	return done, pending
 }
 
-// purgeAfterRead schedules cleanup of a retrieved result: with a TTL
-// the janitor collects it shortly; without, it is dropped immediately
-// along with the task record.
+// purgeAfterRead ends a retrieved task's record: at once, or with a
+// ResultTTL after that window (§4.1).
 func (s *Service) purgeAfterRead(id types.TaskID) {
-	if s.cfg.ResultTTL > 0 {
-		if b, ok := s.Store.Hash(resultsHash).Get(string(id)); ok {
-			s.Store.Hash(resultsHash).SetTTL(string(id), b, s.cfg.ResultTTL)
-			s.Store.Hash(tasksHash).SetTTL(string(id), nil, s.cfg.ResultTTL)
-			if o, ok := s.Store.Hash(ownersHash).Get(string(id)); ok {
-				s.Store.Hash(ownersHash).SetTTL(string(id), o, s.cfg.ResultTTL)
-			}
-		}
-		return
-	}
-	s.Store.Hash(resultsHash).Del(string(id))
-	s.Store.Hash(tasksHash).Del(string(id))
-	s.Store.Hash(ownersHash).Del(string(id))
+	s.transition(id, recordGone, change{retain: s.cfg.ResultTTL})
 }
 
 // streamPurgeGrace is the retention window applied to results purged
@@ -1842,25 +1614,20 @@ func (s *Service) purgeAfterRead(id types.TaskID) {
 // instead of deleting immediately.
 const streamPurgeGrace = 30 * time.Second
 
-// purgeAfterStream schedules cleanup of a result that was delivered
-// inline on the owner's event stream. Unlike purgeAfterRead it never
-// deletes immediately: the stored bytes survive for the configured
-// ResultTTL (or streamPurgeGrace when none is set) so concurrent
-// pollers of the same user can still retrieve them.
-func (s *Service) purgeAfterStream(id types.TaskID) {
+// purgeAfterStream ends the record of a task whose result was
+// delivered inline on the owner's event stream, reporting whether
+// this delivery purged it (a replayed event finds it already purged).
+// Unlike purgeAfterRead it never deletes immediately: the record stays
+// readable for the configured ResultTTL (or streamPurgeGrace when none
+// is set) so concurrent pollers of the same user can still retrieve
+// the result.
+func (s *Service) purgeAfterStream(id types.TaskID) bool {
 	ttl := s.cfg.ResultTTL
 	if ttl <= 0 {
 		ttl = streamPurgeGrace
 	}
-	if b, ok := s.Store.Hash(resultsHash).Get(string(id)); ok {
-		s.Store.Hash(resultsHash).SetTTL(string(id), b, ttl)
-		if tb, ok := s.Store.Hash(tasksHash).Get(string(id)); ok {
-			s.Store.Hash(tasksHash).SetTTL(string(id), tb, ttl)
-		}
-		if o, ok := s.Store.Hash(ownersHash).Get(string(id)); ok {
-			s.Store.Hash(ownersHash).SetTTL(string(id), o, ttl)
-		}
-	}
+	_, ok := s.transition(id, recordGone, change{retain: ttl})
+	return ok
 }
 
 // mintTaskID generates a task id. A sharded service mints ids its own

@@ -14,7 +14,6 @@ import (
 	"funcx/internal/netlat"
 	"funcx/internal/store"
 	"funcx/internal/types"
-	"funcx/internal/wire"
 )
 
 // testService boots a service with an HTTP test server.
@@ -222,12 +221,10 @@ func TestBatchSubmit(t *testing.T) {
 	}
 }
 
-// completeTask simulates the forwarder path: store a result (the
-// results-hash watch publishes the terminal event and wakes waiters).
+// completeTask simulates the forwarder path: hand a result to the
+// service's result sink, which retires the task and wakes waiters.
 func completeTask(svc *Service, id types.TaskID, output []byte) {
-	res := &types.Result{TaskID: id, Output: output, Completed: time.Now()}
-	svc.onResult(res)
-	svc.Store.Hash("results").Set(string(id), wire.EncodeResult(res))
+	svc.OnResult(&types.Result{TaskID: id, Output: output, Completed: time.Now()})
 }
 
 func TestResultRetrievalAndPurge(t *testing.T) {
@@ -247,9 +244,33 @@ func TestResultRetrievalAndPurge(t *testing.T) {
 	if res.Timing.TSNanos <= 0 {
 		t.Fatalf("TS not stamped: %+v", res.Timing)
 	}
-	// Retrieved results are purged (§4.1).
-	if _, ok := svc.Store.Hash("results").Get(string(sub.TaskID)); ok {
-		t.Fatal("result not purged after retrieval")
+	// Retrieved results are purged (§4.1), and the task record with
+	// them: its status is gone too.
+	if n := svc.TaskRecords(); n != 0 {
+		t.Fatalf("%d task records after retrieval, want 0", n)
+	}
+	if code := doJSON(t, srv, token, http.MethodGet, "/v1/tasks/"+string(sub.TaskID), nil, nil); code != http.StatusNotFound {
+		t.Fatalf("status of a purged task = %d, want 404", code)
+	}
+	if code := doJSON(t, srv, token, http.MethodGet, "/v1/tasks/"+string(sub.TaskID)+"/result", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("result of a purged task = %d, want 404", code)
+	}
+}
+
+// TestFailedEnqueueLeavesNoRecord: when the endpoint queue refuses the
+// push, the submit fails and the task record it created is rolled
+// back — Status must not report "queued" for a task the caller was
+// told failed.
+func TestFailedEnqueueLeavesNoRecord(t *testing.T) {
+	svc, srv, token := testService(t)
+	fnID, epID := registerFixture(t, srv, token)
+	svc.Store.Queue(store.TaskQueueName(string(epID))).Close()
+	_, _, _, err := svc.SubmitTaskAt("alice", Submission{FunctionID: fnID, EndpointID: epID, Payload: []byte("p")}, time.Now())
+	if err == nil {
+		t.Fatal("submit to a closed queue succeeded")
+	}
+	if n := svc.TaskRecords(); n != 0 {
+		t.Fatalf("%d task records after a failed enqueue, want 0", n)
 	}
 }
 

@@ -369,8 +369,8 @@ func (s *Store) applyRecord(rec []byte) error {
 
 // ---------------------------------------------------------------------
 // Replay-side mutators: identical state transitions to the public
-// methods, minus journaling, watches, and waiter signaling (recovery
-// has no consumers yet).
+// methods, minus journaling and waiter signaling (recovery has no
+// consumers yet).
 // ---------------------------------------------------------------------
 
 func (h *Hash) applySet(field string, value []byte, expiry time.Time) {

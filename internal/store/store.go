@@ -43,7 +43,6 @@ type Hash struct {
 	mu     sync.RWMutex
 	fields map[string]entry
 	now    func() time.Time
-	watch  func(field string, value []byte)
 
 	// set by a persistent Store; nil in pure in-memory mode
 	name string
@@ -64,8 +63,10 @@ func (h *Hash) Set(field string, value []byte) {
 func (h *Hash) SetTTL(field string, value []byte, ttl time.Duration) {
 	if h.j != nil {
 		h.j.lock()
+		defer h.j.unlock()
 	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	e := entry{value: value}
 	if ttl > 0 {
 		e.expiry = h.now().Add(ttl)
@@ -74,28 +75,6 @@ func (h *Hash) SetTTL(field string, value []byte, ttl time.Duration) {
 	if h.j != nil {
 		h.j.record(encodeHSet(h.name, field, value, e.expiry))
 	}
-	watch := h.watch
-	h.mu.Unlock()
-	if h.j != nil {
-		// Released before the watcher runs: watchers may re-enter the
-		// store and must not recurse into the freeze lock.
-		h.j.unlock()
-	}
-	if watch != nil {
-		watch(field, value)
-	}
-}
-
-// SetWatch installs a single observer invoked synchronously after
-// every Set/SetTTL with the stored field and value — the completion
-// hook the service uses to drive its task event bus off result-hash
-// writes (forwarder-stored results and memo-served results alike)
-// without polling. The watcher runs outside the hash lock and may
-// re-enter the store; install it before the hash sees traffic.
-func (h *Hash) SetWatch(fn func(field string, value []byte)) {
-	h.mu.Lock()
-	h.watch = fn
-	h.mu.Unlock()
 }
 
 // Get returns the value for field and whether it exists (and is not
@@ -552,8 +531,8 @@ func (q *Queue) Close() {
 }
 
 // Store bundles named hashes and named queues, like one Redis instance
-// serving the whole funcX service: task hashset, result hashset, one
-// task queue and one result queue per endpoint.
+// serving the whole funcX service: the task-record hashset and one task
+// queue and one result queue per endpoint.
 type Store struct {
 	mu     sync.Mutex
 	hashes map[string]*Hash

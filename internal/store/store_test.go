@@ -357,33 +357,3 @@ func TestQueueNames(t *testing.T) {
 		t.Fatal(ResultQueueName("abc"))
 	}
 }
-
-func TestHashSetWatchObservesWrites(t *testing.T) {
-	h := NewHash()
-	type seen struct {
-		field string
-		value string
-	}
-	var got []seen
-	h.SetWatch(func(field string, value []byte) {
-		got = append(got, seen{field, string(value)})
-	})
-	h.Set("a", []byte("1"))
-	h.SetTTL("b", []byte("2"), time.Hour)
-	h.Del("a") // deletes are not write completions
-	if len(got) != 2 || got[0] != (seen{"a", "1"}) || got[1] != (seen{"b", "2"}) {
-		t.Fatalf("watch saw %v", got)
-	}
-	// The watcher may re-enter the hash without deadlocking.
-	reentered := false
-	h.SetWatch(func(field string, _ []byte) {
-		if !reentered {
-			reentered = true
-			h.Set("nested", []byte("x"))
-		}
-	})
-	h.Set("c", []byte("3"))
-	if v, ok := h.Get("nested"); !ok || string(v) != "x" {
-		t.Fatal("re-entrant watcher write lost")
-	}
-}
