@@ -38,7 +38,7 @@ fuzz:
 # bench runs the control-plane benchmark suite (submit hot path
 # in-memory vs WAL, batch wait, tracing overhead, OTLP export
 # overhead, server-side DAG vs client-orchestrated fan-in) and writes
-# BENCH_10.json. The floors are regression tripwires: the measured WAL
+# bench-report.json. The floors are regression tripwires: the measured WAL
 # ratio sits around 0.7x, so anything under 0.5x means the group
 # commit stopped amortizing. The tracing budget is ≤5% on the submit
 # hot path; on a single-core box the background lifecycle work (task
@@ -50,7 +50,7 @@ fuzz:
 # hot path. The DAG comparison measures ~7x; 1.5 is the point where
 # server-side composition stops paying for itself.
 bench:
-	$(GO) run ./cmd/funcx-perf -out BENCH_10.json -wal-floor 0.5 -trace-floor 0.85 -otlp-floor 0.85 -dag-floor 1.5
+	$(GO) run ./cmd/funcx-perf -out bench-report.json -wal-floor 0.5 -trace-floor 0.85 -otlp-floor 0.85 -dag-floor 1.5
 
 # smoke runs the durability experiment (WAL crash recovery + shard
 # drain) and the dag workflow experiment (server-side composition,

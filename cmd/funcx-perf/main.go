@@ -1,7 +1,7 @@
 // Command funcx-perf runs the control-plane benchmark suite (the
 // same bodies bench_test.go uses, from internal/perf) and writes a
 // machine-readable report. CI runs it via `make bench` to produce
-// BENCH_10.json: the submit hot path with the store in-memory vs
+// bench-report.json: the submit hot path with the store in-memory vs
 // WAL-backed, the batch-wait round trip, the per-task tracing
 // overhead (traced vs untraced submit throughput), the OTLP span
 // export overhead (export on vs off against a stub collector), and
@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	funcx-perf -out BENCH_10.json
+//	funcx-perf -out bench-report.json
 package main
 
 import (
@@ -219,7 +219,7 @@ func run(name string, fn func(b *testing.B)) benchResult {
 
 func main() {
 	var (
-		out        = flag.String("out", "BENCH_10.json", "path for the JSON report")
+		out        = flag.String("out", "bench-report.json", "path for the JSON report")
 		floor      = flag.Float64("wal-floor", 0, "fail unless WAL submit throughput >= floor * in-memory (0 disables)")
 		traceFloor = flag.Float64("trace-floor", 0, "fail unless the traced submit hot path runs >= floor * the untraced per-op rate (0 disables)")
 		otlpFloor  = flag.Float64("otlp-floor", 0, "fail unless the export-enabled submit hot path runs >= floor * the export-disabled per-op rate (0 disables)")

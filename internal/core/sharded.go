@@ -207,9 +207,10 @@ func (sf *ShardedFabric) KillShard(i int) error {
 // Without a DataDir the replacement is fresh and empty — shared
 // nothing — so endpoints, groups, and functions must be re-registered,
 // exactly like a stateless web-tier instance rescheduled by an
-// orchestrator. With a DataDir the shard recovers its registry,
-// queues, results, and in-flight leases from its journal; only agents
-// must re-attach (Fabric.AttachEndpoint), since their connections and
+// orchestrator. With a DataDir the shard recovers its registry and
+// task records (with unread results) from its journal and rebuilds
+// each endpoint queue from the live records; only agents must
+// re-attach (Fabric.AttachEndpoint), since their connections and
 // client secrets are runtime state the crash destroyed.
 func (sf *ShardedFabric) RestartShard(i int) (*Fabric, error) {
 	sf.mu.Lock()

@@ -24,11 +24,11 @@ func init() { register("durability", Durability) }
 //
 // Part 1 (crash recovery): a 3-shard fabric journals every shard to
 // disk. A backlog of sleep tasks builds on one shard's group; the
-// shard is killed cold mid-execution — queued tasks, in-flight
-// leases, and stored results all on disk — and restarted on the same
-// address. The restart must recover the shard's registry, queues,
-// results, and leases from WAL + snapshot (no re-registration of
-// anything), agents re-attach with reissued credentials, and every
+// shard is killed cold mid-execution — queued, in-flight and finished
+// task records all on disk — and restarted on the same address. The
+// restart must recover the shard's registry and task records from
+// WAL + snapshot and rebuild its queues from them (no re-registration
+// of anything), agents re-attach with reissued credentials, and every
 // task submitted before the kill must resolve: zero loss. A function
 // registered on the survivors while the shard was down must also be
 // callable on the recovered shard (anti-entropy pull at boot).
@@ -65,7 +65,7 @@ func Durability(opts Options) error {
 	tbl.AddRow("drain+handoff", fmt.Sprint(rec.drainTasks), "-", fmt.Sprint(rec.drainMoved),
 		fmt.Sprint(rec.drainLost), "-")
 	fmt.Fprint(opts.out(), tbl.Render())
-	fmt.Fprintf(opts.out(), "cold restart replayed %d WAL records (snapshot %d bytes, %d torn) and recovered registry, queues, results, and leases; zero task loss\n",
+	fmt.Fprintf(opts.out(), "cold restart replayed %d WAL records (snapshot %d bytes, %d torn) and recovered registry, task records, and results, rebuilding queues from the records; zero task loss\n",
 		rec.walRecords, rec.walSnapshot, rec.walTorn)
 	fmt.Fprintf(opts.out(), "drain handed %d endpoints / %d groups / %d queued tasks to %d destination shard(s); zero task loss\n",
 		rec.drainEndpoints, rec.drainGroups, rec.drainMovedTasks, rec.drainDests)
@@ -190,7 +190,7 @@ func durabilityRecovery(opts Options, dataDir string, backlog int) (*durabilityR
 	}
 
 	// Let part of the backlog complete — the journal then holds stored
-	// results AND queued tasks AND in-flight leases at the kill.
+	// results AND queued tasks AND in-flight tasks at the kill.
 	completedOnVictim := func() int {
 		fab := sf.Shard(victim)
 		if fab == nil {

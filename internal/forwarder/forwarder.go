@@ -61,10 +61,11 @@ type Config struct {
 	// stamped: the service retires the task with it (storing the
 	// result, feeding the memo cache, publishing the terminal event).
 	OnResult func(*types.Result)
-	// OnDispatched, when set, fires after a task is shipped to the
-	// connected agent (the service advances the task's lifecycle
-	// status and publishes the "dispatched" event here). Redeliveries
-	// after an agent reconnect fire it again, once per dispatch.
+	// OnDispatched, when set, fires when a task is leased to the
+	// connected agent, before its frame is sent (the service advances
+	// the task's lifecycle status and publishes the "dispatched" event
+	// here). Redeliveries after an agent reconnect fire it again, once
+	// per dispatch.
 	OnDispatched func(*types.Task)
 	// OnRunning, when set, fires when the agent relays a worker's
 	// execution-start signal for a dispatched task (the service
@@ -522,7 +523,11 @@ func (f *Forwarder) dispatchLoop() {
 		// The lease is recorded before the send: a disconnect racing the
 		// send then drains it together with the other leases, returning
 		// them to the queue in enqueue order, and a result racing the
-		// send finds its receipt.
+		// send finds its receipt. OnDispatched fires with it, so the
+		// dispatch precedes anything the agent sends back for the task.
+		// It reads a copy: once the lease is visible, a concurrent
+		// reclaim may rewrite the leased task's attempt and endpoint.
+		dispatch := *task
 		f.mu.Lock()
 		if f.conn != conn {
 			f.mu.Unlock()
@@ -535,6 +540,9 @@ func (f *Forwarder) dispatchLoop() {
 			deadline: time.Now().Add(f.cfg.DispatchLease + task.Walltime),
 		}
 		f.mu.Unlock()
+		if f.cfg.OnDispatched != nil {
+			f.cfg.OnDispatched(&dispatch)
+		}
 		// Simulated WAN propagation toward the endpoint.
 		if f.cfg.Lat != nil {
 			f.cfg.Lat.Delay()
@@ -571,15 +579,10 @@ func (f *Forwarder) dispatchLoop() {
 		f.dispatched++
 		// A disconnect (or a fast result) may have taken the lease
 		// during the send; then it was recovered (or completed) already.
-		l, leased := f.leases[task.ID]
-		leased = leased && l.receipt == receipt
-		if leased {
+		if l, ok := f.leases[task.ID]; ok && l.receipt == receipt {
 			f.tfStart[task.ID] = time.Since(popDone)
 		}
 		f.mu.Unlock()
-		if leased && f.cfg.OnDispatched != nil {
-			f.cfg.OnDispatched(task)
-		}
 	}
 }
 

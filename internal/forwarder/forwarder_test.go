@@ -169,6 +169,46 @@ func TestDisconnectRequeuesOutstanding(t *testing.T) {
 	}
 }
 
+// TestOnDispatchedSeesTheDispatchedAttempt: OnDispatched fires once the
+// lease is visible, so a disconnect can reclaim the task — and the
+// service's reclaim rewrites the task's attempt — while the hook still
+// runs. The hook must see the attempt that was dispatched, or the
+// service would mark the requeued attempt dispatched.
+func TestOnDispatchedSeesTheDispatchedAttempt(t *testing.T) {
+	dispatching := make(chan struct{})
+	reclaimed := make(chan struct{})
+	seen := make(chan int, 1)
+	h := newHarness(t, Config{
+		OnDispatched: func(task *types.Task) {
+			close(dispatching)
+			select {
+			case <-reclaimed:
+			case <-time.After(2 * time.Second):
+			}
+			seen <- task.Attempt
+		},
+		OnReclaim: func(task *types.Task, _ string) bool {
+			task.Attempt++
+			close(reclaimed)
+			return true
+		},
+	})
+	conn := h.connectAgent(t, "")
+	if err := h.queue.Push(wire.EncodeTask(&types.Task{ID: "t1", Attempt: 1})); err != nil {
+		t.Fatal(err)
+	}
+	<-dispatching
+	conn.Close() // the agent drops while the dispatch is being recorded
+	select {
+	case attempt := <-seen:
+		if attempt != 1 {
+			t.Fatalf("OnDispatched saw attempt %d, want the dispatched attempt 1", attempt)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("OnDispatched never returned")
+	}
+}
+
 func TestHeartbeatLossDetected(t *testing.T) {
 	h := newHarness(t, Config{HeartbeatPeriod: 30 * time.Millisecond, HeartbeatMisses: 2})
 	conn := h.connectAgent(t, "")

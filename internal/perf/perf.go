@@ -1,6 +1,6 @@
 // Package perf holds the control-plane benchmark bodies shared by
 // `go test -bench` (bench_test.go) and cmd/funcx-perf, the harness
-// that runs them standalone and emits BENCH_10.json. Keeping the
+// that runs them standalone and emits bench-report.json. Keeping the
 // bodies here means the CI artifact and the developer benchmarks
 // measure exactly the same code paths.
 package perf
@@ -245,7 +245,7 @@ func SubmitThroughput(wal bool, tasks int) (float64, error) {
 // tracing either enabled (the default service configuration, which
 // stamps a timeline per task and folds completed ones into stage
 // histograms) or disabled — the two sides of the tracing-overhead
-// ratio in BENCH_10.json.
+// ratio in bench-report.json.
 func TraceThroughput(traced bool, tasks int) (float64, error) {
 	e, err := newEnvCfg(false, !traced)
 	if err != nil {

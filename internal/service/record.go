@@ -30,11 +30,13 @@ import (
 )
 
 // recordsHash journals each record's durable image on a WAL-backed
-// instance (field = task id, value = encodeRecord). Only the moves
-// recovery needs are journaled: submit/requeue/failover (queued, with
-// the task frame), DAG hold (pending), terminal (with the result) and
-// purge (a delete). Dispatched and running stay in memory, since
-// recovery requeues every leased task anyway.
+// instance (field = task id, value = encodeRecord). It is the only
+// place a task is journaled, and only the moves recovery needs are:
+// submit/requeue/failover (queued, with the task frame), DAG hold
+// (pending), dispatched for an at-most-once task (which recovery must
+// not run twice), terminal (with the result) and purge (a delete).
+// Running, and dispatched for an at-least-once task, stay in memory:
+// recovery requeues such a task anyway.
 const recordsHash = "taskrec"
 
 // legacyTaskHashes held per-task state before the task record: owner,
@@ -169,7 +171,7 @@ func (s *Service) transition(id types.TaskID, to types.TaskStatus, c change) (ta
 		ev.DAGID, after = s.applyDAGResult(id, to, rec.endpoint, rec.result)
 	}
 	s.records[id] = rec
-	if s.Store.Persistent() && to != types.TaskDispatched && to != types.TaskRunning {
+	if s.Store.Persistent() && to != types.TaskRunning && (to != types.TaskDispatched || wire.TaskAtMostOnce(rec.task)) {
 		s.Store.Hash(recordsHash).Set(string(id), encodeRecord(rec))
 	}
 	s.publish(rec.owner, ev)

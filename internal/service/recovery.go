@@ -2,16 +2,20 @@
 //
 // What the journal holds is the control plane's full word: registry
 // records (one JSON blob per record in "reg:<kind>" hashes), one task
-// record image per live or unread task (record.go), per-endpoint task
-// queues with their in-flight leases, and each user's newest event
-// seq. What it deliberately does not hold is runtime state —
-// forwarders, agent connections, client secrets, leases' wall-clock
-// deadlines, and the dispatched/running steps of a task record — which
-// recovery rebuilds or infers below. The sequence in recoverRegistry/recoverRuntime runs inside
-// Open, strictly before the service accepts a request.
+// record image per live or unread task (record.go), and each user's
+// newest event seq. A task is journaled only through its record:
+// queued at submit, requeue or failover, dispatched if it is
+// at-most-once, terminal with its result, and the delete of its purge.
+// What the journal deliberately does not hold is runtime state —
+// forwarders, agent connections, client secrets, the endpoint queues
+// and their leases, and the running step of a task record — which
+// recovery rebuilds or infers below. The sequence in
+// recoverRegistry/recoverRuntime runs inside Open, strictly before the
+// service accepts a request.
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -86,14 +90,10 @@ func recoverKind[T any](s *Service, kind string, put func(*T) error) error {
 
 // recoverRuntime rebuilds everything the live request path needs that
 // is not a plain store read: the task records, event-stream numbering,
-// the delivery state of every queue, and one forwarder per endpoint.
-// Runs after the registry is recovered and before any background
-// goroutine starts.
+// every endpoint queue, and one forwarder per endpoint. Runs after the
+// registry is recovered and before any background goroutine starts.
 func (s *Service) recoverRuntime() error {
-	// Task records first: every later step reads them. A recovered
-	// record says queued where the dead process had it dispatched or
-	// running — those steps were never journaled, and the lease
-	// reconciliation below requeues every leased task anyway.
+	// Task records first: every later step reads them.
 	if err := s.recoverRecords(); err != nil {
 		return err
 	}
@@ -114,13 +114,10 @@ func (s *Service) recoverRuntime() error {
 	// Gateway overrides from any pre-crash drain or handoff import.
 	s.recoverHandoffState()
 
-	// Delivery state, then forwarders: reconciliation must finish
-	// before a forwarder can pop (and lease) anything.
+	// Queues, then forwarders: every queue must be rebuilt before a
+	// forwarder can pop (and lease) anything.
 	eps := s.Registry.Endpoints()
-	for _, ep := range eps {
-		s.reconcileQueue(ep.ID)
-	}
-	s.sweepUnqueued(eps)
+	s.rebuildQueues(eps)
 	for _, ep := range eps {
 		if _, err := s.startForwarder(ep.ID); err != nil {
 			return fmt.Errorf("service: restarting forwarder for endpoint %s: %w", ep.ID, err)
@@ -133,68 +130,52 @@ func (s *Service) recoverRuntime() error {
 	return nil
 }
 
-// reconcileQueue resolves the recovered delivery state of one
-// endpoint's queue. A recovered lease means the task was dispatched
-// to an agent that died with the shard: if its task already retired
-// (or was read and purged), or the lease is of an attempt the record
-// has since requeued past, it is just a stale receipt (acked away);
-// an at-most-once task may have executed, so it lands as lost rather
-// than redeliver; everything else requeues for redelivery when an
-// agent re-attaches — the same at-least-once contract a live reclaim
-// applies.
-func (s *Service) reconcileQueue(epID types.EndpointID) {
-	q := s.Store.Queue(store.TaskQueueName(string(epID)))
-	for receipt, item := range q.Pending() {
-		task, err := wire.DecodeTask(item)
-		if err != nil {
-			q.Ack(receipt) //nolint:errcheck // dropping an undecodable lease
-			continue
-		}
-		if rec, ok := s.record(task.ID); !ok || rec.status.Terminal() || task.Attempt < rec.attempt {
-			q.Ack(receipt) //nolint:errcheck // result already landed, or a superseded attempt
-			continue
-		}
-		if task.AtMostOnce {
-			q.Ack(receipt) //nolint:errcheck // consumed below as lost
-			s.lose(task, "shard restarted with the task in flight")
-			continue
-		}
-		q.RequeueReceipts(receipt)
-	}
-}
-
-// sweepUnqueued catches tasks whose record is live but which are
-// neither queued nor leased — the narrow window of a crash between a
-// dispatch ack and its result write. They re-enter through the reclaim
-// path (budget checks, at-most-once handling, failover) so their
-// callers' futures resolve instead of hanging forever; a record whose
-// task frame does not decode (a journal written by an older codec)
-// retires as lost. Held DAG nodes (pending) are left to resumeDAGs.
-func (s *Service) sweepUnqueued(eps []*types.Endpoint) {
-	present := make(map[types.TaskID]bool)
+// rebuildQueues refills the endpoint queues, which are not journaled,
+// from the recovered task records. Every live record requeues on its
+// endpoint with its attempt unchanged, in submission order, except:
+//   - an image that says dispatched is an at-most-once task that may
+//     already have run, so it lands as lost;
+//   - a task frame that does not decode (a journal written by an older
+//     codec) lands as lost;
+//   - a record whose endpoint is not registered re-enters through the
+//     reclaim path (budget checks, at-most-once handling, failover).
+//
+// Held DAG nodes (pending) are left to resumeDAGs, and terminal records
+// keep their result until it is read.
+func (s *Service) rebuildQueues(eps []*types.Endpoint) {
+	registered := make(map[types.EndpointID]bool, len(eps))
 	for _, ep := range eps {
-		q := s.Store.Queue(store.TaskQueueName(string(ep.ID)))
-		for _, item := range append(q.Items(), slices.Collect(maps.Values(q.Pending()))...) {
-			if task, err := wire.DecodeTask(item); err == nil {
-				present[task.ID] = true
-			}
-		}
+		registered[ep.ID] = true
 	}
-	orphans := make(map[types.TaskID]taskRecord)
 	s.recMu.Lock()
-	for id, rec := range s.records {
-		if !present[id] && rec.status != types.TaskPending && !rec.status.Terminal() {
-			orphans[id] = rec
-		}
-	}
+	recs := maps.Clone(s.records)
 	s.recMu.Unlock()
-	for id, rec := range orphans {
-		task, err := wire.DecodeTask(rec.task)
-		if err != nil {
-			s.lose(&types.Task{ID: id, Owner: rec.owner, EndpointID: rec.endpoint}, "task record corrupt after crash")
+	type entry struct {
+		task *types.Task
+		rec  taskRecord
+	}
+	var requeue []entry
+	for id, rec := range recs {
+		if rec.status == types.TaskPending || rec.status.Terminal() {
 			continue
 		}
-		s.reclaim(task, "shard restart")
+		task, err := wire.DecodeTask(rec.task)
+		switch {
+		case err != nil:
+			s.lose(&types.Task{ID: id, Owner: rec.owner, EndpointID: rec.endpoint}, "task record corrupt after crash")
+		case rec.status == types.TaskDispatched:
+			s.lose(task, "shard restarted with the task in flight")
+		case !registered[rec.endpoint]:
+			s.reclaim(task, "shard restart")
+		default:
+			requeue = append(requeue, entry{task, rec})
+		}
+	}
+	slices.SortFunc(requeue, func(a, b entry) int {
+		return cmp.Or(a.task.Submitted.Compare(b.task.Submitted), cmp.Compare(a.task.ID, b.task.ID))
+	})
+	for _, e := range requeue {
+		s.Store.Queue(store.TaskQueueName(string(e.rec.endpoint))).Push(e.rec.task) //nolint:errcheck // queues stay open until Close
 	}
 }
 

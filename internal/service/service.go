@@ -125,10 +125,11 @@ type Config struct {
 	ReclaimHalfLife time.Duration
 	// DataDir opts the service into durable state: a per-instance
 	// write-ahead log plus periodic snapshots live here, every store
-	// mutation is journaled, and a service opened over a non-empty
-	// DataDir recovers its registry, queues, results, leases, and
-	// event numbering before serving (see internal/wal and
-	// recovery.go). Empty keeps the classic pure in-memory store.
+	// hash mutation is journaled, and a service opened over a non-empty
+	// DataDir recovers its registry, task records, results, and
+	// event numbering, and rebuilds its queues from the records,
+	// before serving (see internal/wal and recovery.go). Empty keeps
+	// the classic pure in-memory store.
 	DataDir string
 	// WALSyncInterval is the journal's group-commit flush window:
 	// appends buffered within one window share a single fsync
@@ -336,9 +337,10 @@ func New(cfg Config) *Service {
 // Open creates a service ready to serve its Handler. With a DataDir
 // it opens (or recovers) the write-ahead log underneath the store and
 // rebuilds all control-plane state a crash destroyed — registry
-// records, queued tasks, in-flight leases, stored results, and
-// per-user event numbering — before the service accepts a single
-// request (the recovery sequence lives in recovery.go).
+// records, task records with their stored results, the endpoint
+// queues rebuilt from them, and per-user event numbering — before the
+// service accepts a single request (the recovery sequence lives in
+// recovery.go).
 func Open(cfg Config) (*Service, error) {
 	if cfg.ForwarderNetwork == "" {
 		cfg.ForwarderNetwork = "inproc"
@@ -489,7 +491,7 @@ func Open(cfg Config) (*Service, error) {
 	//funcx:ignore ctxflow Open mints the service's root lifetime context; there is no caller context at process start.
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	// Runtime recovery: load the task records, seed event numbering,
-	// reconcile queued/leased tasks against landed results,
+	// rebuild the endpoint queues from the records,
 	// and restart a forwarder for every journaled endpoint — all
 	// before the first background goroutine or request can observe
 	// half-recovered state.
@@ -1255,10 +1257,11 @@ func (s *Service) OnResult(res *types.Result) {
 	s.transition(res.TaskID, types.TerminalStatus(res.Lost, res.Failed()), change{result: res})
 }
 
-// onDispatched runs in the forwarder after a task ships to the agent:
-// the record moves to dispatched, unless the task already moved on
-// (running or terminal) or this dispatch is stale — from an endpoint
-// failover re-homed it away from, or of an older attempt.
+// onDispatched runs in the forwarder when it leases a task, before the
+// frame is sent to the agent: the record moves to dispatched, unless
+// the task already moved on (dispatched by an earlier send, running, or
+// terminal) or this dispatch is stale — from an endpoint failover
+// re-homed it away from, or of an older attempt.
 func (s *Service) onDispatched(task *types.Task) {
 	if _, ok := s.transition(task.ID, types.TaskDispatched, change{endpoint: task.EndpointID, attempt: task.Attempt}); ok {
 		s.Trace.Stamp(task.ID, trace.StageDispatched)
@@ -1266,16 +1269,11 @@ func (s *Service) onDispatched(task *types.Task) {
 }
 
 // onRunning runs in the forwarder when the agent relays a worker's
-// execution-start signal. The signal races the dispatch notification
-// (it travels a different path), so the dispatch it proves happened is
-// applied first when the record still says queued; a late
-// onDispatched is then refused, and the per-task stream order
-// queued ≤ dispatched ≤ running ≤ terminal always holds. Signals from
-// an endpoint the task has already left are refused.
+// execution-start signal. The dispatch was applied before the frame
+// left, so the per-task stream order queued ≤ dispatched ≤ running ≤
+// terminal holds. Signals from an endpoint the task has already left
+// are refused.
 func (s *Service) onRunning(id types.TaskID, epID types.EndpointID) {
-	if _, ok := s.transition(id, types.TaskDispatched, change{endpoint: epID}); ok {
-		s.Trace.Stamp(id, trace.StageDispatched)
-	}
 	if _, ok := s.transition(id, types.TaskRunning, change{endpoint: epID}); ok {
 		s.Trace.Stamp(id, trace.StageRunning)
 	}

@@ -1,10 +1,9 @@
-// Durable mode: every mutation of a persistent store is journaled to a
-// write-ahead log inside the same critical section that applies it, so
-// journal order equals apply order and replay is deterministic —
-// including reliable-queue receipts, which are recorded explicitly so
-// a recovered store's pending sets match the crashed one's. A
-// background snapshotter checkpoints full store state and truncates
-// the log when enough journal has accumulated.
+// Durable mode: every hash mutation of a persistent store is journaled
+// to a write-ahead log inside the same critical section that applies
+// it, so journal order equals apply order and replay is deterministic.
+// Queues are not journaled: the service rebuilds them from its task
+// records. A background snapshotter checkpoints every hash and
+// truncates the log when enough journal has accumulated.
 //
 // The freeze lock orders journaling against snapshots: mutators hold
 // it shared around (mutate + append), the snapshotter holds it
@@ -14,7 +13,9 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +50,7 @@ func (o PersistOptions) withDefaults() PersistOptions {
 }
 
 // journal couples a WAL with the freeze lock and since-last-snapshot
-// counters. A nil *journal on a Hash/Queue means pure in-memory mode.
+// counters. A nil *journal on a Hash means pure in-memory mode.
 type journal struct {
 	freeze sync.RWMutex
 	log    *wal.Log
@@ -197,13 +198,19 @@ func (s *Store) stopSnapshotter() {
 const (
 	opHSet byte = iota + 1
 	opHDel
-	opQPush
-	opQPushFront
-	opQPop // receipt 0 = destructive pop, else parked pending
-	opQAck
-	opQNack
-	opQRequeue
 )
+
+// Opcodes 3 to 8 journaled the durable task queues (push, push-front,
+// pop, ack, nack, requeue) in the format before queues were rebuilt
+// from task records. A journal holding one is refused: skipping it
+// would drop the at-most-once leases it records, and the task would be
+// delivered again.
+const firstQueueEraOp, lastQueueEraOp byte = 3, 8
+
+// errQueueEraJournal refuses a WAL or snapshot written in the
+// queue-journaling format.
+var errQueueEraJournal = errors.New("journal is in the queue-era format (durable task queues); " +
+	"this version rebuilds queues from task records and does not read that format")
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -270,31 +277,6 @@ func encodeHDel(name, field string) []byte {
 	return appendString(b, field)
 }
 
-func encodeQItem(op byte, name string, data []byte) []byte {
-	b := make([]byte, 0, 1+len(name)+len(data)+12)
-	b = append(b, op)
-	b = appendString(b, name)
-	return appendBytes(b, data)
-}
-
-func encodeQReceipt(op byte, name string, receipt uint64) []byte {
-	b := make([]byte, 0, 1+len(name)+12)
-	b = append(b, op)
-	b = appendString(b, name)
-	return binary.AppendUvarint(b, receipt)
-}
-
-func encodeQRequeue(name string, receipts []uint64) []byte {
-	b := make([]byte, 0, 1+len(name)+8+10*len(receipts))
-	b = append(b, opQRequeue)
-	b = appendString(b, name)
-	b = binary.AppendUvarint(b, uint64(len(receipts)))
-	for _, r := range receipts {
-		b = binary.AppendUvarint(b, r)
-	}
-	return b
-}
-
 // applyRecord replays one journaled mutation without re-journaling.
 func (s *Store) applyRecord(rec []byte) error {
 	if len(rec) == 0 {
@@ -324,44 +306,10 @@ func (s *Store) applyRecord(rec []byte) error {
 			return r.err
 		}
 		s.Hash(name).applyDel(field)
-	case opQPush, opQPushFront:
-		name, data := r.string(), r.bytes()
-		if r.err != nil {
-			return r.err
-		}
-		d := make([]byte, len(data))
-		copy(d, data)
-		s.Queue(name).applyPush(d, rec[0] == opQPushFront)
-	case opQPop:
-		name, receipt := r.string(), r.uvarint()
-		if r.err != nil {
-			return r.err
-		}
-		return s.Queue(name).applyPop(receipt)
-	case opQAck:
-		name, receipt := r.string(), r.uvarint()
-		if r.err != nil {
-			return r.err
-		}
-		s.Queue(name).applyAck(receipt)
-	case opQNack:
-		name, receipt := r.string(), r.uvarint()
-		if r.err != nil {
-			return r.err
-		}
-		s.Queue(name).applyNack(receipt)
-	case opQRequeue:
-		name := r.string()
-		n := r.uvarint()
-		receipts := make([]uint64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			receipts = append(receipts, r.uvarint())
-		}
-		if r.err != nil {
-			return r.err
-		}
-		s.Queue(name).applyRequeue(receipts)
 	default:
+		if rec[0] >= firstQueueEraOp && rec[0] <= lastQueueEraOp {
+			return fmt.Errorf("opcode %d: %w", rec[0], errQueueEraJournal)
+		}
 		return fmt.Errorf("unknown opcode %d", rec[0])
 	}
 	return r.err
@@ -369,8 +317,7 @@ func (s *Store) applyRecord(rec []byte) error {
 
 // ---------------------------------------------------------------------
 // Replay-side mutators: identical state transitions to the public
-// methods, minus journaling and waiter signaling (recovery has no
-// consumers yet).
+// methods, minus journaling.
 // ---------------------------------------------------------------------
 
 func (h *Hash) applySet(field string, value []byte, expiry time.Time) {
@@ -385,66 +332,9 @@ func (h *Hash) applyDel(field string) {
 	h.mu.Unlock()
 }
 
-func (q *Queue) applyPush(data []byte, front bool) {
-	q.mu.Lock()
-	q.nextID++
-	if front {
-		q.items.PushFront(queued{data: data, seq: q.nextID})
-	} else {
-		q.items.PushBack(queued{data: data, seq: q.nextID})
-	}
-	q.mu.Unlock()
-}
-
-func (q *Queue) applyPop(receipt uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.items.Len() == 0 {
-		return fmt.Errorf("pop replay on empty queue")
-	}
-	item := q.items.Remove(q.items.Front()).(queued)
-	if receipt > 0 {
-		q.pending[receipt] = item
-		if receipt > q.nextID {
-			q.nextID = receipt
-		}
-	}
-	return nil
-}
-
-func (q *Queue) applyAck(receipt uint64) {
-	q.mu.Lock()
-	delete(q.pending, receipt)
-	q.mu.Unlock()
-}
-
-func (q *Queue) applyNack(receipt uint64) {
-	q.mu.Lock()
-	if item, ok := q.pending[receipt]; ok {
-		delete(q.pending, receipt)
-		q.items.PushFront(item)
-	}
-	q.mu.Unlock()
-}
-
-func (q *Queue) applyRequeue(receipts []uint64) {
-	q.mu.Lock()
-	items := make([]queued, 0, len(receipts))
-	for _, r := range receipts {
-		if it, ok := q.pending[r]; ok {
-			items = append(items, it)
-			delete(q.pending, r)
-		}
-	}
-	if len(items) > 0 {
-		q.requeueLocked(items)
-	}
-	q.mu.Unlock()
-}
-
 // ---------------------------------------------------------------------
-// Snapshot codec: full store state (hashes with absolute expiries,
-// queues with items, pending sets, and sequence counters).
+// Snapshot codec: every hash with its live fields and absolute
+// expiries.
 // ---------------------------------------------------------------------
 
 // encodeSnapshot serializes current state. Called with the freeze lock
@@ -452,21 +342,12 @@ func (q *Queue) applyRequeue(receipts []uint64) {
 // takes each structure's own mutex against non-journaled readers.
 func (s *Store) encodeSnapshot() []byte {
 	s.mu.Lock()
-	hashNames := make([]string, 0, len(s.hashes))
-	for n := range s.hashes {
-		hashNames = append(hashNames, n)
-	}
-	queueNames := make([]string, 0, len(s.queues))
-	for n := range s.queues {
-		queueNames = append(queueNames, n)
-	}
-	hashes, queues := s.hashes, s.queues
+	hashes := maps.Clone(s.hashes)
 	s.mu.Unlock()
 
 	b := make([]byte, 0, 4096)
-	b = binary.AppendUvarint(b, uint64(len(hashNames)))
-	for _, name := range hashNames {
-		h := hashes[name]
+	b = binary.AppendUvarint(b, uint64(len(hashes)))
+	for name, h := range hashes {
 		b = appendString(b, name)
 		h.mu.RLock()
 		now := h.now()
@@ -488,27 +369,6 @@ func (s *Store) encodeSnapshot() []byte {
 			b = binary.AppendUvarint(b, nanos)
 		}
 		h.mu.RUnlock()
-	}
-
-	b = binary.AppendUvarint(b, uint64(len(queueNames)))
-	for _, name := range queueNames {
-		q := queues[name]
-		b = appendString(b, name)
-		q.mu.Lock()
-		b = binary.AppendUvarint(b, q.nextID)
-		b = binary.AppendUvarint(b, uint64(q.items.Len()))
-		for e := q.items.Front(); e != nil; e = e.Next() {
-			it := e.Value.(queued)
-			b = appendBytes(b, it.data)
-			b = binary.AppendUvarint(b, it.seq)
-		}
-		b = binary.AppendUvarint(b, uint64(len(q.pending)))
-		for r, it := range q.pending {
-			b = binary.AppendUvarint(b, r)
-			b = appendBytes(b, it.data)
-			b = binary.AppendUvarint(b, it.seq)
-		}
-		q.mu.Unlock()
 	}
 	return b
 }
@@ -536,34 +396,9 @@ func (s *Store) decodeSnapshot(blob []byte) error {
 			h.applySet(field, v, expiry)
 		}
 	}
-	nq := r.uvarint()
-	for i := uint64(0); i < nq && r.err == nil; i++ {
-		q := s.Queue(r.string())
-		nextID := r.uvarint()
-		ni := r.uvarint()
-		for j := uint64(0); j < ni && r.err == nil; j++ {
-			data := r.bytes()
-			seq := r.uvarint()
-			if r.err != nil {
-				break
-			}
-			d := make([]byte, len(data))
-			copy(d, data)
-			q.items.PushBack(queued{data: d, seq: seq})
-		}
-		np := r.uvarint()
-		for j := uint64(0); j < np && r.err == nil; j++ {
-			receipt := r.uvarint()
-			data := r.bytes()
-			seq := r.uvarint()
-			if r.err != nil {
-				break
-			}
-			d := make([]byte, len(data))
-			copy(d, data)
-			q.pending[receipt] = queued{data: d, seq: seq}
-		}
-		q.nextID = nextID
+	if r.err == nil && r.off < len(blob) {
+		// A queue-era snapshot carries its queues after the hashes.
+		return errQueueEraJournal
 	}
 	return r.err
 }

@@ -37,21 +37,6 @@ func TestPersistentRoundTrip(t *testing.T) {
 	s.Hash("results").SetTTL("t9", []byte("gone"), time.Nanosecond)
 	s.Hash("results").SetTTL("t3", []byte("kept"), time.Hour)
 
-	q := s.Queue("tasks:ep1")
-	for i := 0; i < 5; i++ {
-		if err := q.Push([]byte(fmt.Sprintf("task-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Pop two reliably (stay pending), ack one, pop one destructively.
-	_, r1, _ := q.TryPopReliable()
-	_, r2, _ := q.TryPopReliable()
-	if err := q.Ack(r1); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := q.TryPop(); !ok {
-		t.Fatal("TryPop failed")
-	}
 	s.Close()
 
 	time.Sleep(2 * time.Nanosecond) // let the nanosecond TTL lapse
@@ -73,77 +58,12 @@ func TestPersistentRoundTrip(t *testing.T) {
 	if v, ok := s2.Hash("results").Get("t3"); !ok || string(v) != "kept" {
 		t.Fatalf("t3 = %q, %v", v, ok)
 	}
-
-	q2 := s2.Queue("tasks:ep1")
-	if q2.Len() != 2 {
-		t.Fatalf("queued = %d, want 2", q2.Len())
-	}
-	if q2.PendingLen() != 1 {
-		t.Fatalf("pending = %d, want 1", q2.PendingLen())
-	}
-	// The surviving pending receipt must still be ackable/requeueable.
-	if n := q2.RequeueReceipts(r2); n != 1 {
-		t.Fatalf("RequeueReceipts(%d) = %d, want 1", r2, n)
-	}
-	if q2.Len() != 3 {
-		t.Fatalf("queued after requeue = %d, want 3", q2.Len())
-	}
-	// Requeued in-flight item comes back at the head (original order).
-	data, ok := q2.TryPop()
-	if !ok || string(data) != "task-1" {
-		t.Fatalf("head after requeue = %q, %v (want task-1)", data, ok)
-	}
 }
 
-// TestInFlightLeasesRecovered is the lease-shaped recovery contract:
-// items that were popped reliably but never acked (dispatched tasks
-// whose worker died with the shard) must survive as pending and be
-// reclaimable, not lost.
-func TestInFlightLeasesRecovered(t *testing.T) {
-	dir := t.TempDir()
-	s := openPersistent(t, dir)
-	q := s.Queue("tasks:ep")
-	for i := 0; i < 4; i++ {
-		if err := q.Push([]byte(fmt.Sprintf("t%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q.TryPopReliable()
-	q.TryPopReliable()
-	s.Close()
-
-	s2 := openPersistent(t, dir)
-	defer s2.Close()
-	q2 := s2.Queue("tasks:ep")
-	if q2.PendingLen() != 2 || q2.Len() != 2 {
-		t.Fatalf("pending=%d queued=%d, want 2/2", q2.PendingLen(), q2.Len())
-	}
-	if n := q2.RequeuePending(); n != 2 {
-		t.Fatalf("RequeuePending = %d, want 2", n)
-	}
-	// All four, in original submission order.
-	for i := 0; i < 4; i++ {
-		data, ok := q2.TryPop()
-		if !ok || string(data) != fmt.Sprintf("t%d", i) {
-			t.Fatalf("pop %d = %q, %v", i, data, ok)
-		}
-	}
-}
-
-// storeState captures the externally observable state of the named
-// hashes and queues for equivalence checks.
-type storeState struct {
-	Hashes  map[string]map[string]string
-	Queues  map[string][]string
-	Pending map[string]map[uint64]string
-}
-
-func captureState(s *Store, hashNames, queueNames []string) storeState {
-	st := storeState{
-		Hashes:  map[string]map[string]string{},
-		Queues:  map[string][]string{},
-		Pending: map[string]map[uint64]string{},
-	}
+// captureState returns the live fields of the named hashes for
+// equivalence checks.
+func captureState(s *Store, hashNames []string) map[string]map[string]string {
+	st := map[string]map[string]string{}
 	for _, hn := range hashNames {
 		h := s.Hash(hn)
 		fields := map[string]string{}
@@ -152,20 +72,7 @@ func captureState(s *Store, hashNames, queueNames []string) storeState {
 				fields[k] = string(v)
 			}
 		}
-		st.Hashes[hn] = fields
-	}
-	for _, qn := range queueNames {
-		q := s.Queue(qn)
-		items := []string{}
-		for _, it := range q.Items() {
-			items = append(items, string(it))
-		}
-		st.Queues[qn] = items
-		pend := map[uint64]string{}
-		for r, it := range q.Pending() {
-			pend[r] = string(it)
-		}
-		st.Pending[qn] = pend
+		st[hn] = fields
 	}
 	return st
 }
@@ -177,61 +84,20 @@ func captureState(s *Store, hashNames, queueNames []string) storeState {
 // equivalence contract.
 func TestRandomizedReplayEquivalence(t *testing.T) {
 	hashNames := []string{"h0", "h1", "h2"}
-	queueNames := []string{"q0", "q1"}
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			s := openPersistent(t, dir)
-			var receipts []uint64
-			receiptQueue := map[uint64]string{}
 			for i := 0; i < 2000; i++ {
+				h := s.Hash(hashNames[rng.Intn(len(hashNames))])
+				field := fmt.Sprintf("f%d", rng.Intn(50))
 				switch rng.Intn(10) {
-				case 0, 1, 2:
-					h := hashNames[rng.Intn(len(hashNames))]
-					field := fmt.Sprintf("f%d", rng.Intn(50))
-					s.Hash(h).Set(field, []byte(fmt.Sprintf("v%d", i)))
-				case 3:
-					h := hashNames[rng.Intn(len(hashNames))]
-					s.Hash(h).Del(fmt.Sprintf("f%d", rng.Intn(50)))
-				case 4, 5:
-					qn := queueNames[rng.Intn(len(queueNames))]
-					if rng.Intn(4) == 0 {
-						s.Queue(qn).PushFront([]byte(fmt.Sprintf("i%d", i)))
-					} else {
-						s.Queue(qn).Push([]byte(fmt.Sprintf("i%d", i)))
-					}
-				case 6:
-					qn := queueNames[rng.Intn(len(queueNames))]
-					if rng.Intn(2) == 0 {
-						s.Queue(qn).TryPop()
-					} else if _, r, ok := s.Queue(qn).TryPopReliable(); ok {
-						receipts = append(receipts, r)
-						receiptQueue[r] = qn
-					}
-				case 7:
-					if len(receipts) > 0 {
-						idx := rng.Intn(len(receipts))
-						r := receipts[idx]
-						q := s.Queue(receiptQueue[r])
-						if rng.Intn(2) == 0 {
-							q.Ack(r)
-						} else {
-							q.Nack(r)
-						}
-						receipts = append(receipts[:idx], receipts[idx+1:]...)
-					}
-				case 8:
-					qn := queueNames[rng.Intn(len(queueNames))]
-					s.Queue(qn).RequeuePending()
-					filtered := receipts[:0]
-					for _, r := range receipts {
-						if receiptQueue[r] != qn {
-							filtered = append(filtered, r)
-						}
-					}
-					receipts = filtered
+				case 0, 1, 2, 3, 4, 5:
+					h.Set(field, []byte(fmt.Sprintf("v%d", i)))
+				case 6, 7, 8:
+					h.Del(field)
 				case 9:
 					if rng.Intn(20) == 0 { // occasional forced checkpoint
 						if err := s.Snapshot(); err != nil {
@@ -240,12 +106,12 @@ func TestRandomizedReplayEquivalence(t *testing.T) {
 					}
 				}
 			}
-			want := captureState(s, hashNames, queueNames)
+			want := captureState(s, hashNames)
 			s.Close()
 
 			s2 := openPersistent(t, dir)
 			defer s2.Close()
-			got := captureState(s2, hashNames, queueNames)
+			got := captureState(s2, hashNames)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("recovered state diverged\n want: %+v\n  got: %+v", want, got)
 			}

@@ -1,11 +1,15 @@
 // Package store is the in-memory substitute for the AWS ElastiCache
 // Redis deployment of paper §4.1. The funcX service keeps serialized
-// function bodies and task records in Redis hashsets, and one task
-// queue plus one result queue per endpoint. The queues are *reliable*:
-// a consumer pops an item into a pending set and must acknowledge it;
-// unacknowledged items can be returned to the queue (the mechanism the
-// forwarder uses to re-deliver tasks after an endpoint disconnect,
-// giving at-least-once semantics).
+// function bodies and task records in Redis-style hashsets, and one
+// task queue per endpoint. The queues are *reliable*: a consumer pops
+// an item into a pending set and must acknowledge it; unacknowledged
+// items can be returned to the queue (the mechanism the forwarder uses
+// to re-deliver tasks after an endpoint disconnect, giving
+// at-least-once semantics).
+//
+// Hashes are durable on a persistent store (NewPersistent); queues are
+// always in memory. A recovered service rebuilds each endpoint's queue
+// from its journaled task records.
 //
 // All operations are safe for concurrent use.
 package store
@@ -14,6 +18,8 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
@@ -151,9 +157,9 @@ func (h *Hash) Purge() int {
 	return n
 }
 
-// Queue is a reliable FIFO queue of byte items. Consumers either Pop
-// (destructive, non-reliable) or PopReliable, which moves the item to a
-// pending set keyed by a receipt id; Ack removes it permanently and
+// Queue is a reliable in-memory FIFO queue of byte items. Consumers
+// either TryPop (destructive) or pop reliably, which moves the item to
+// a pending set keyed by a receipt id; Ack removes it permanently and
 // RequeuePending returns pending items to the head of the queue in
 // original order.
 //
@@ -167,10 +173,6 @@ type Queue struct {
 	pending map[uint64]queued
 	nextID  uint64
 	closed  bool
-
-	// set by a persistent Store; nil in pure in-memory mode
-	name string
-	j    *journal
 }
 
 type queued struct {
@@ -201,10 +203,6 @@ func (q *Queue) signalAll() {
 
 // Push appends an item to the tail of the queue.
 func (q *Queue) Push(data []byte) error {
-	if q.j != nil {
-		q.j.lock()
-		defer q.j.unlock()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -212,30 +210,6 @@ func (q *Queue) Push(data []byte) error {
 	}
 	q.nextID++
 	q.items.PushBack(queued{data: data, seq: q.nextID})
-	if q.j != nil {
-		q.j.record(encodeQItem(opQPush, q.name, data))
-	}
-	q.signalOne()
-	return nil
-}
-
-// PushFront prepends an item to the head of the queue (used for ordered
-// requeue of failed deliveries).
-func (q *Queue) PushFront(data []byte) error {
-	if q.j != nil {
-		q.j.lock()
-		defer q.j.unlock()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	q.nextID++
-	q.items.PushFront(queued{data: data, seq: q.nextID})
-	if q.j != nil {
-		q.j.record(encodeQItem(opQPushFront, q.name, data))
-	}
 	q.signalOne()
 	return nil
 }
@@ -254,18 +228,6 @@ func (q *Queue) PendingLen() int {
 	return len(q.pending)
 }
 
-// Pending returns a copy of the pending set, receipt -> item data.
-// Recovery uses it to reconcile in-flight deliveries after a restart.
-func (q *Queue) Pending() map[uint64][]byte {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make(map[uint64][]byte, len(q.pending))
-	for r, it := range q.pending {
-		out[r] = it.data
-	}
-	return out
-}
-
 // Items returns the queued (not pending) item data in queue order.
 func (q *Queue) Items() [][]byte {
 	q.mu.Lock()
@@ -280,59 +242,41 @@ func (q *Queue) Items() [][]byte {
 // TryPop removes and returns the head item without blocking. ok is
 // false when the queue is empty.
 func (q *Queue) TryPop() (data []byte, ok bool) {
-	if q.j != nil {
-		q.j.lock()
-		defer q.j.unlock()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.items.Len() == 0 {
 		return nil, false
 	}
-	front := q.items.Remove(q.items.Front()).(queued)
-	if q.j != nil {
-		q.j.record(encodeQReceipt(opQPop, q.name, 0))
-	}
-	return front.data, true
+	return q.items.Remove(q.items.Front()).(queued).data, true
 }
 
 // TryPopReliable is TryPop with reliable-queue semantics: the item is
 // parked in the pending set until Ack or Nack. ok is false when the
 // queue is empty.
 func (q *Queue) TryPopReliable() (data []byte, receipt uint64, ok bool) {
-	if q.j != nil {
-		q.j.lock()
-		defer q.j.unlock()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.items.Len() == 0 {
 		return nil, 0, false
 	}
+	data, receipt = q.popReliableLocked()
+	return data, receipt, true
+}
+
+// popReliableLocked parks the head item in the pending set under a
+// fresh receipt. Caller must hold q.mu and know the queue is non-empty.
+func (q *Queue) popReliableLocked() ([]byte, uint64) {
 	item := q.items.Remove(q.items.Front()).(queued)
 	q.nextID++
-	receipt = q.nextID
-	q.pending[receipt] = item
-	if q.j != nil {
-		q.j.record(encodeQReceipt(opQPop, q.name, receipt))
-	}
-	return item.data, receipt, true
+	q.pending[q.nextID] = item
+	return item.data, q.nextID
 }
 
-// BPop blocks until an item is available or the timeout elapses
-// (timeout <= 0 waits forever). It is the BLPOP analogue.
-func (q *Queue) BPop(timeout time.Duration) ([]byte, error) {
-	data, _, err := q.bpop(timeout, false)
-	return data, err
-}
-
-// BPopReliable is BPop but the item is parked in the pending set until
-// Ack(receipt) or RequeuePending returns it to the queue.
+// BPopReliable blocks until an item is available or the timeout
+// elapses (timeout <= 0 waits forever), the BLPOP analogue, and parks
+// the item in the pending set until Ack(receipt) or RequeuePending
+// returns it to the queue.
 func (q *Queue) BPopReliable(timeout time.Duration) (data []byte, receipt uint64, err error) {
-	return q.bpop(timeout, true)
-}
-
-func (q *Queue) bpop(timeout time.Duration, reliable bool) ([]byte, uint64, error) {
 	var timerC <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
@@ -340,49 +284,19 @@ func (q *Queue) bpop(timeout time.Duration, reliable bool) ([]byte, uint64, erro
 		timerC = timer.C
 	}
 	for {
-		// The freeze lock is taken per-iteration, never across the
-		// wait below, so a blocked consumer cannot stall a snapshot.
-		if q.j != nil {
-			q.j.lock()
-		}
 		q.mu.Lock()
 		if q.items.Len() > 0 {
-			item := q.items.Remove(q.items.Front()).(queued)
-			if !reliable {
-				if q.j != nil {
-					q.j.record(encodeQReceipt(opQPop, q.name, 0))
-				}
-				q.mu.Unlock()
-				if q.j != nil {
-					q.j.unlock()
-				}
-				return item.data, 0, nil
-			}
-			q.nextID++
-			receipt := q.nextID
-			q.pending[receipt] = item
-			if q.j != nil {
-				q.j.record(encodeQReceipt(opQPop, q.name, receipt))
-			}
+			data, receipt = q.popReliableLocked()
 			q.mu.Unlock()
-			if q.j != nil {
-				q.j.unlock()
-			}
-			return item.data, receipt, nil
+			return data, receipt, nil
 		}
 		if q.closed {
 			q.mu.Unlock()
-			if q.j != nil {
-				q.j.unlock()
-			}
 			return nil, 0, ErrClosed
 		}
 		ch := make(chan struct{})
 		elem := q.waiters.PushBack(ch)
 		q.mu.Unlock()
-		if q.j != nil {
-			q.j.unlock()
-		}
 
 		select {
 		case <-ch:
@@ -407,28 +321,17 @@ func (q *Queue) bpop(timeout time.Duration, reliable bool) ([]byte, uint64, erro
 
 // Ack permanently removes a pending item.
 func (q *Queue) Ack(receipt uint64) error {
-	if q.j != nil {
-		q.j.lock()
-		defer q.j.unlock()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if _, ok := q.pending[receipt]; !ok {
 		return ErrNotPending
 	}
 	delete(q.pending, receipt)
-	if q.j != nil {
-		q.j.record(encodeQReceipt(opQAck, q.name, receipt))
-	}
 	return nil
 }
 
 // Nack returns one pending item to the head of the queue (redelivery).
 func (q *Queue) Nack(receipt uint64) error {
-	if q.j != nil {
-		q.j.lock()
-		defer q.j.unlock()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	item, ok := q.pending[receipt]
@@ -437,9 +340,6 @@ func (q *Queue) Nack(receipt uint64) error {
 	}
 	delete(q.pending, receipt)
 	q.items.PushFront(item)
-	if q.j != nil {
-		q.j.record(encodeQReceipt(opQNack, q.name, receipt))
-	}
 	q.signalOne()
 	return nil
 }
@@ -449,25 +349,10 @@ func (q *Queue) Nack(receipt uint64) error {
 // forwarder's recovery action when an endpoint disconnects. It returns
 // the number of items requeued.
 func (q *Queue) RequeuePending() int {
-	if q.j != nil {
-		q.j.lock()
-		defer q.j.unlock()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.pending) == 0 {
-		return 0
-	}
-	items := make([]queued, 0, len(q.pending))
-	receipts := make([]uint64, 0, len(q.pending))
-	for r, it := range q.pending {
-		items = append(items, it)
-		receipts = append(receipts, r)
-	}
+	items := slices.Collect(maps.Values(q.pending))
 	clear(q.pending)
-	if q.j != nil {
-		q.j.record(encodeQRequeue(q.name, receipts))
-	}
 	return q.requeueLocked(items)
 }
 
@@ -478,26 +363,14 @@ func (q *Queue) RequeuePending() int {
 // exactly the items they own, leaving other consumers' receipts
 // untouched. It returns the number of items requeued.
 func (q *Queue) RequeueReceipts(receipts ...uint64) int {
-	if q.j != nil {
-		q.j.lock()
-		defer q.j.unlock()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	items := make([]queued, 0, len(receipts))
-	moved := make([]uint64, 0, len(receipts))
 	for _, r := range receipts {
 		if it, ok := q.pending[r]; ok {
 			items = append(items, it)
-			moved = append(moved, r)
 			delete(q.pending, r)
 		}
-	}
-	if len(items) == 0 {
-		return 0
-	}
-	if q.j != nil {
-		q.j.record(encodeQRequeue(q.name, moved))
 	}
 	return q.requeueLocked(items)
 }
@@ -505,6 +378,9 @@ func (q *Queue) RequeueReceipts(receipts ...uint64) int {
 // requeueLocked prepends items in original enqueue order and wakes
 // all consumers. Caller must hold q.mu.
 func (q *Queue) requeueLocked(items []queued) int {
+	if len(items) == 0 {
+		return 0
+	}
 	// Sort by original sequence so redelivery preserves submission
 	// order. Insertion sort: pending sets are small (in-flight
 	// window).
@@ -532,7 +408,7 @@ func (q *Queue) Close() {
 
 // Store bundles named hashes and named queues, like one Redis instance
 // serving the whole funcX service: the task-record hashset and one task
-// queue and one result queue per endpoint.
+// queue per endpoint.
 type Store struct {
 	mu     sync.Mutex
 	hashes map[string]*Hash
@@ -574,21 +450,9 @@ func (s *Store) Queue(name string) *Queue {
 	q, ok := s.queues[name]
 	if !ok {
 		q = NewQueue()
-		q.name, q.j = name, s.j
 		s.queues[name] = q
 	}
 	return q
-}
-
-// QueueNames returns the names of all queues created so far.
-func (s *Store) QueueNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.queues))
-	for n := range s.queues {
-		names = append(names, n)
-	}
-	return names
 }
 
 // StartJanitor launches a background loop that purges expired hash
@@ -669,7 +533,3 @@ func (s *Store) Close() {
 // TaskQueueName returns the conventional task queue name for an
 // endpoint id.
 func TaskQueueName(endpointID string) string { return fmt.Sprintf("tasks:%s", endpointID) }
-
-// ResultQueueName returns the conventional result queue name for an
-// endpoint id.
-func ResultQueueName(endpointID string) string { return fmt.Sprintf("results:%s", endpointID) }

@@ -67,8 +67,14 @@ func DecodeTask(data []byte) (*types.Task, error) {
 
 // TaskMemoize reports whether a task frame requests memoization,
 // reading only the frame header.
-func TaskMemoize(data []byte) bool {
-	return len(data) >= 2 && data[0] == taskVersion && data[1]&taskMemoize != 0
+func TaskMemoize(data []byte) bool { return taskFlag(data, taskMemoize) }
+
+// TaskAtMostOnce reports whether a task frame asks for at-most-once
+// delivery, reading only the frame header.
+func TaskAtMostOnce(data []byte) bool { return taskFlag(data, taskAtMostOnce) }
+
+func taskFlag(data []byte, flag byte) bool {
+	return len(data) >= 2 && data[0] == taskVersion && data[1]&flag != 0
 }
 
 // EncodeTasks frames a batch of tasks (executor-side batching). Each

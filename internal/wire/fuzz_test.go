@@ -121,8 +121,13 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		// The header peeks agree with a full decode.
-		if task, err := DecodeTask(data); err == nil && TaskMemoize(data) != task.Memoize {
-			t.Fatalf("TaskMemoize = %v, decoded Memoize = %v", !task.Memoize, task.Memoize)
+		if task, err := DecodeTask(data); err == nil {
+			if TaskMemoize(data) != task.Memoize {
+				t.Fatalf("TaskMemoize = %v, decoded Memoize = %v", !task.Memoize, task.Memoize)
+			}
+			if TaskAtMostOnce(data) != task.AtMostOnce {
+				t.Fatalf("TaskAtMostOnce = %v, decoded AtMostOnce = %v", !task.AtMostOnce, task.AtMostOnce)
+			}
 		}
 		if res, err := DecodeResult(data); err == nil {
 			if st, err := ResultStatus(data); err != nil || st != types.TerminalStatus(res.Lost, res.Failed()) {

@@ -160,11 +160,14 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestHeaderPeeks(t *testing.T) {
-	for _, memo := range []bool{false, true} {
+	for _, on := range []bool{false, true} {
 		task := fullTask()
-		task.Memoize = memo
-		if got := TaskMemoize(EncodeTask(task)); got != memo {
-			t.Fatalf("TaskMemoize = %v, want %v", got, memo)
+		task.Memoize, task.AtMostOnce = on, !on
+		if got := TaskMemoize(EncodeTask(task)); got != on {
+			t.Fatalf("TaskMemoize = %v, want %v", got, on)
+		}
+		if got := TaskAtMostOnce(EncodeTask(task)); got != !on {
+			t.Fatalf("TaskAtMostOnce = %v, want %v", got, !on)
 		}
 	}
 	for _, c := range []struct {
@@ -184,6 +187,9 @@ func TestHeaderPeeks(t *testing.T) {
 	}
 	if TaskMemoize([]byte(`{"memoize":true}`)) || TaskMemoize(nil) {
 		t.Fatal("TaskMemoize accepted a non-task frame")
+	}
+	if TaskAtMostOnce([]byte(`{"at_most_once":true}`)) || TaskAtMostOnce(nil) {
+		t.Fatal("TaskAtMostOnce accepted a non-task frame")
 	}
 	if _, err := ResultStatus([]byte(`{"lost":true}`)); err == nil {
 		t.Fatal("ResultStatus accepted a JSON frame")
