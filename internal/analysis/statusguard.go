@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"slices"
+	"strings"
 )
 
 // AnalyzerStatusGuard enforces the one-writer invariant of task
@@ -15,16 +17,26 @@ import (
 // one other publisher is publishDAG, which carries graph-level events
 // (DAGRunning/DAGSuccess/DAGFailed) and is not tracked.
 //
+// The same rule keeps a graph journaled once: a write to the graph
+// journal (`X.Hash(dagsHash).Set/SetTTL/Del`) is allowed only at its
+// three sites — the shape at submit (SubmitDAG), the final state at
+// finish (finishDAG) and the delete at eviction (sweepFinishedDAGs) —
+// so no per-completion rewrite of the whole graph can come back.
+//
 // The check is lexical: a tracked operation is allowed only in the
 // body of the function named transition (or, for publishes, named
-// publishDAG). Helpers do not inherit the permission, and function
-// literals — which run at an unknown time, outside the enclosing
-// critical section — never have it.
+// publishDAG; for graph-journal writes, one of the three sites).
+// Helpers do not inherit the permission, and function literals — which
+// run at an unknown time, outside the enclosing critical section —
+// never have it.
 var AnalyzerStatusGuard = &Analyzer{
 	Name: "statusguard",
-	Doc:  "task records and lifecycle events are written only by Service.transition",
+	Doc:  "task records and lifecycle events are written only by Service.transition, graphs only at submit, finish and eviction",
 	Run:  runStatusGuard,
 }
+
+// graphJournalSites are the functions that may write the graph journal.
+var graphJournalSites = []string{"SubmitDAG", "finishDAG", "sweepFinishedDAGs"}
 
 var statusGuardPackages = []string{"funcx/internal/service"}
 
@@ -45,6 +57,12 @@ func runStatusGuard(pass *Pass) {
 // function named fn may not perform ("" for a function literal).
 func checkRecordWriters(pass *Pass, fn string, body *ast.BlockStmt) {
 	report := func(n ast.Node, kind string) {
+		if strings.HasPrefix(kind, "graph-journal") {
+			if !slices.Contains(graphJournalSites, fn) {
+				pass.Reportf(n.Pos(), "%s outside the submit, finish and eviction sites; a graph is journaled once at submit and once at finish", kind)
+			}
+			return
+		}
 		if fn == "transition" || fn == "publishDAG" && kind == "lifecycle publish" {
 			return
 		}
@@ -77,8 +95,8 @@ func isRecordsField(e ast.Expr) bool {
 }
 
 // trackedRecordCall classifies the tracked calls: a delete from the
-// record map, a Set/SetTTL/Del on the recordsHash hash, or a lifecycle
-// publish.
+// record map, a Set/SetTTL/Del on the recordsHash or dagsHash hash, or
+// a lifecycle publish.
 func trackedRecordCall(call *ast.CallExpr) string {
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && len(call.Args) == 2 && isRecordsField(call.Args[0]) {
 		return "record delete"
@@ -99,6 +117,8 @@ func trackedRecordCall(call *ast.CallExpr) string {
 		}
 		if arg, ok := inner.Args[0].(*ast.Ident); ok && arg.Name == "recordsHash" {
 			return "record-hash " + sel.Sel.Name
+		} else if ok && arg.Name == "dagsHash" {
+			return "graph-journal " + sel.Sel.Name
 		}
 	case "publish":
 		return "lifecycle publish"

@@ -2,10 +2,16 @@
 // hash write and publish (the old unguarded write), a helper writing
 // on transition's behalf (the old write just past the lock), a
 // goroutine launched from transition (the old goroutine under the
-// lock), in-memory record map writes, and publishDAG writing a record.
+// lock), in-memory record map writes, and publishDAG writing a record
+// — and graph-journal writes outside submit, finish and eviction: the
+// old per-completion rewrite from a completion helper, and a finish
+// site handing the write to a goroutine.
 package service
 
-const recordsHash = "taskrec"
+const (
+	recordsHash = "taskrec"
+	dagsHash    = "dags"
+)
 
 type hashT struct{}
 
@@ -48,4 +54,18 @@ func (s *Service) purge(id string) {
 func (s *Service) publishDAG(id string) {
 	s.publish("dag-running")
 	s.Store.Hash(recordsHash).Set(id, nil) // want "record-hash Set outside transition"
+}
+
+func (s *Service) applyDAGResult(id string) {
+	s.Store.Hash(dagsHash).Set(id, nil) // want "graph-journal Set outside the submit, finish and eviction sites"
+}
+
+func (s *Service) persistDAGLocked(id string) {
+	s.Store.Hash(dagsHash).SetTTL(id, nil, 1) // want "graph-journal SetTTL outside the submit, finish and eviction sites"
+}
+
+func (s *Service) finishDAG(id string) {
+	go func() {
+		s.Store.Hash(dagsHash).Del(id) // want "graph-journal Del outside the submit, finish and eviction sites"
+	}()
 }

@@ -1,12 +1,14 @@
 // Corrected forms: every record write and task publish inside
 // transition (including the map delete and the purge's hash Del),
-// graph events through publishDAG, record reads anywhere, and writes
-// to untracked hashes.
+// graph events through publishDAG, graph-journal writes at submit,
+// finish and eviction, record and graph reads anywhere, and writes to
+// untracked hashes.
 package service
 
 const (
-	recordsHash = "taskrec"
-	dagsHash    = "dags"
+	recordsHash    = "taskrec"
+	dagsHash       = "dags"
+	dagParentsHash = "dagparent"
 )
 
 type hashT struct{}
@@ -48,6 +50,22 @@ func (s *Service) status(id string) (string, bool) {
 	return st, ok
 }
 
-func (s *Service) untracked(id string) {
+func (s *Service) SubmitDAG(id string) {
 	s.Store.Hash(dagsHash).Set(id, nil)
+}
+
+func (s *Service) finishDAG(id string) {
+	s.Store.Hash(dagsHash).Set(id, nil)
+}
+
+func (s *Service) sweepFinishedDAGs(id string) {
+	s.Store.Hash(dagsHash).Del(id)
+}
+
+func (s *Service) recoverDAGs(id string) {
+	s.Store.Hash(dagsHash).Get(id)
+}
+
+func (s *Service) untracked(id string) {
+	s.Store.Hash(dagParentsHash).Set(id, nil)
 }

@@ -12,8 +12,10 @@
 // payloads are deterministic functions of the parents' outputs.
 //
 // The package holds no locks and performs no I/O: the service drives
-// it under its own mutex and journals the graph through the WAL, so a
-// crash mid-workflow recovers the pending edges.
+// it under its own mutex and journals a graph only twice, its shape at
+// submit and its final state at finish. After a crash mid-workflow the
+// service rebuilds each node's state, and each parent's output, from
+// the task records of the graph's nodes.
 package dag
 
 import (
@@ -109,9 +111,9 @@ type Node struct {
 	// the affinity routing of its children.
 	Endpoint types.EndpointID `json:"endpoint_id,omitempty"`
 	// Output holds the node's inline result bytes for binding into
-	// children. It is deliberately excluded from the graph record: the
-	// service journals outputs under their own store keys so a graph
-	// transition does not rewrite every output through the WAL.
+	// children. It is never journaled with the graph: the node's
+	// terminal task record already holds it, and recovery reads it back
+	// from there.
 	Output []byte `json:"-"`
 	// Ref is the node's output as a data reference when it exceeded
 	// the inline binding limit.

@@ -9,9 +9,12 @@
 // dataref.Refs), routes the child with affinity toward where its
 // parents ran, and propagates a failed or lost parent to every
 // descendant as a typed dag_dependency_failed result — so no future
-// ever hangs. Graph state is journaled through the WAL (dagsHash for
-// the graph record, dagOutputsHash for parent outputs awaiting
-// binding), and recovery.go replays pending edges after a crash.
+// ever hangs. A graph is journaled twice (dagsHash): its shape at
+// submit and its final node states at finish. In between, each node's
+// progress lives only in its task record — none while held, live once
+// released, the output in its result once landed — so recovery works
+// every node's state out of the records, and a record the graph binds
+// stays pinned in the journal until the graph finishes.
 //
 // Lock order: dagMu is taken alone, over s.mu, or under recMu (a
 // terminal transition applies the graph step inside its critical
@@ -25,6 +28,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -132,28 +136,29 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 		}
 	}
 
-	// Held (pending) records land before the graph goes live: status
-	// and wait surfaces must recognize every node id the moment the
-	// response returns, and recovery rebuilds held nodes from these
-	// records plus the journaled graph.
+	// The shape is journaled once, before any node record exists:
+	// recovery reads a node without a record image as held.
+	if s.Store.Persistent() {
+		s.Store.Hash(dagsHash).Set(string(id), wire.EncodeDAG(g))
+	}
+	// Held (pending) records, in memory only, land before the graph goes
+	// live: status and wait surfaces must recognize every node id the
+	// moment the response returns.
 	for _, key := range g.Order {
 		if n := g.Node(key); !n.External {
 			s.transition(n.TaskID, types.TaskPending, change{owner: owner, dag: id})
 		}
 	}
-	var externals []dagRef
+	var externals []string
 	s.dagMu.Lock()
 	s.dags[id] = g
 	for _, key := range g.Order {
 		n := g.Node(key)
-		if !n.State.Terminal() {
-			s.dagByTask[n.TaskID] = append(s.dagByTask[n.TaskID], dagRef{id: id, key: key})
-		}
+		s.dagByTask[n.TaskID] = append(s.dagByTask[n.TaskID], dagRef{id: id, key: key})
 		if n.External {
-			externals = append(externals, dagRef{id: id, key: key})
+			externals = append(externals, key)
 		}
 	}
-	s.persistDAGLocked(g)
 	s.dagMu.Unlock()
 	s.mu.Lock()
 	s.dagsSubmitted++
@@ -168,8 +173,8 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 	// which case the children release below), then the roots. Both may
 	// cascade synchronously through the memo cache: a fully memoized
 	// graph completes before this call returns.
-	for _, ext := range externals {
-		s.resolveExternalParent(ext.id, ext.key)
+	for _, key := range externals {
+		s.resolveExternalParent(id, key)
 	}
 	s.releaseDAGReady(id)
 
@@ -264,19 +269,15 @@ func (s *Service) DAGsActive() int {
 	return active
 }
 
-// persistDAGLocked journals the graph record (caller holds dagMu).
-func (s *Service) persistDAGLocked(g *dag.Graph) {
-	s.Store.Hash(dagsHash).Set(string(g.ID), wire.EncodeDAG(g))
-}
-
 // applyDAGResult is the graph step of a terminal transition (and of
 // an external parent resolving): when the finished task feeds any
-// registered graph, it journals the output for child binding, applies
-// the transition to every waiting graph, and returns the graph id to
-// stamp on the terminal event plus the actions to execute *after* the
-// transition unlocks — each action places or retires a node through
-// transition, so they must run outside recMu and dagMu. Returns
-// ("", nil) for tasks no graph is waiting on.
+// registered graph, it applies the outcome to every waiting graph and
+// returns the graph id to stamp on the terminal event plus the actions
+// to execute *after* the transition unlocks — each action places or
+// retires a node through transition, so they must run outside recMu
+// and dagMu. Nothing is journaled here: the task's terminal record
+// already holds the outcome. Returns ("", nil) for tasks no graph is
+// waiting on.
 func (s *Service) applyDAGResult(id types.TaskID, status types.TaskStatus, endpoint types.EndpointID, value []byte) (types.DAGID, func()) {
 	s.dagMu.Lock()
 	refs := s.dagByTask[id]
@@ -285,29 +286,7 @@ func (s *Service) applyDAGResult(id types.TaskID, status types.TaskStatus, endpo
 		return "", nil
 	}
 	delete(s.dagByTask, id)
-
-	outcome := dag.Outcome{Status: status, Endpoint: endpoint, At: time.Now()}
-	if res, err := wire.DecodeResult(value); err == nil {
-		outcome.Err = res.Err
-		outcome.Memoized = res.Memoized
-		if status == types.TaskSuccess {
-			outcome.Output = res.Output
-		}
-	}
-	if status == types.TaskSuccess {
-		// The output bytes are journaled under the task's own key before
-		// any graph transition that depends on them is persisted: a
-		// recovered Released child must always find the bytes it binds.
-		// The full bytes are retained even past the inline limit — the
-		// dataref fabric is in-memory and recovery re-registers from here.
-		s.Store.Hash(dagOutputsHash).Set(string(id), outcome.Output)
-		if limit := s.dagInlineLimit(); limit > 0 && len(outcome.Output) > limit {
-			if ref, ok := s.putDataref(endpoint, id, outcome.Output); ok {
-				outcome.Ref = &ref
-				outcome.Output = nil
-			}
-		}
-	}
+	outcome := s.dagOutcome(id, status, endpoint, value)
 
 	var rels []dagRelease
 	var fails []dagFail
@@ -323,12 +302,33 @@ func (s *Service) applyDAGResult(id types.TaskID, status types.TaskStatus, endpo
 		if done != nil {
 			dones = append(dones, *done)
 		}
-		s.persistDAGLocked(g)
 	}
 	dagID := refs[0].id
 	s.dagMu.Unlock()
 
 	return dagID, func() { s.executeDAGActions(rels, fails, dones) }
+}
+
+// dagOutcome decodes a finished task's encoded result into its graph
+// outcome. A successful output past the inline limit is registered in
+// the dataref fabric and travels as a reference (caller holds dagMu).
+func (s *Service) dagOutcome(id types.TaskID, status types.TaskStatus, endpoint types.EndpointID, value []byte) dag.Outcome {
+	outcome := dag.Outcome{Status: status, Endpoint: endpoint, At: time.Now()}
+	res, err := wire.DecodeResult(value)
+	if err != nil {
+		return outcome
+	}
+	outcome.Err, outcome.Memoized = res.Err, res.Memoized
+	if status != types.TaskSuccess {
+		return outcome
+	}
+	outcome.Output = res.Output
+	if limit := s.dagInlineLimit(); limit > 0 && len(res.Output) > limit {
+		if ref, ok := s.putDataref(endpoint, id, res.Output); ok {
+			outcome.Ref, outcome.Output = &ref, nil
+		}
+	}
+	return outcome
 }
 
 // putDataref registers a large output in the dataref fabric, placed at
@@ -347,9 +347,9 @@ func (s *Service) putDataref(endpoint types.EndpointID, id types.TaskID, output 
 }
 
 // completeLocked applies one node outcome to its graph and converts
-// the transition into executable actions (caller holds dagMu; caller
-// persists the graph). The returned dagDone is non-nil when this
-// completion newly finished the graph.
+// the transition into executable actions (caller holds dagMu). The
+// returned dagDone is non-nil when this completion newly finished the
+// graph.
 func (s *Service) completeLocked(g *dag.Graph, key string, o dag.Outcome) ([]dagRelease, []dagFail, *dagDone) {
 	wasDone := g.Done()
 	tr := g.Complete(key, o)
@@ -473,9 +473,11 @@ func (s *Service) publishDAG(owner types.UserID, ev types.TaskEvent) {
 	s.publish(owner, ev)
 }
 
-// finishDAG publishes a graph's lifecycle event and prunes the output
-// journal: once every node is terminal, no pending edge can need the
-// retained parent outputs.
+// finishDAG publishes a graph's lifecycle event, journals its final
+// node states (the graph's one rewrite), and releases what the graph
+// held: its datarefs, its routing refs, its journaled cross-shard
+// parents and the pins on its records, which deletes the read marks of
+// records the client already read.
 func (s *Service) finishDAG(d dagDone) {
 	s.mu.Lock()
 	s.dagsCompleted++
@@ -487,12 +489,15 @@ func (s *Service) finishDAG(d dagDone) {
 	s.publishDAG(d.owner, types.TaskEvent{
 		TaskID: types.TaskID(d.id), Status: status, DAGID: d.id, Time: time.Now(),
 	})
+	var pinned []types.TaskID
 	s.dagMu.Lock()
 	s.dagDoneAt[d.id] = time.Now()
 	if g := s.dags[d.id]; g != nil {
+		if s.Store.Persistent() {
+			s.Store.Hash(dagsHash).Set(string(d.id), wire.EncodeDAG(g))
+		}
 		for _, key := range g.Order {
 			n := g.Node(key)
-			s.Store.Hash(dagOutputsHash).Del(string(n.TaskID))
 			if n.Ref != nil {
 				s.Datarefs.Delete(*n.Ref)
 			}
@@ -501,9 +506,17 @@ func (s *Service) finishDAG(d dagDone) {
 				// this graph's routing ref so the entry cannot leak.
 				s.dropTaskRefLocked(n.TaskID, d.id)
 			}
+			if !s.remoteTask(n.TaskID) {
+				pinned = append(pinned, n.TaskID)
+			} else if s.Store.Persistent() {
+				s.Store.Hash(dagParentsHash).Del(parentKey(d.id, n.TaskID))
+			}
 		}
 	}
 	s.dagMu.Unlock()
+	for _, id := range pinned {
+		s.transition(id, recordUnpin, change{owner: d.owner, dag: d.id})
+	}
 	s.log.Info("dag finished", "dag_id", string(d.id), "status", string(status))
 }
 
@@ -527,9 +540,9 @@ func (s *Service) evictFinishedDAGs() {
 }
 
 // sweepFinishedDAGs evicts every graph that finished before cutoff:
-// the in-memory record, any residual routing refs, and the journaled
-// dag record (so a later recovery does not resurrect it). Returns how
-// many graphs were evicted.
+// the in-memory graph, any residual routing refs, and its journal
+// entry (so a later recovery does not resurrect it). Returns how many
+// graphs were evicted.
 func (s *Service) sweepFinishedDAGs(cutoff time.Time) int {
 	dagsH := s.Store.Hash(dagsHash)
 	s.dagMu.Lock()
@@ -602,9 +615,6 @@ func (s *Service) releaseDAGReady(id types.DAGID) {
 		}
 		rels = append(rels, rel)
 	}
-	if len(rels)+len(fails) > 0 {
-		s.persistDAGLocked(g)
-	}
 	s.dagMu.Unlock()
 	s.executeDAGActions(rels, fails, nil)
 }
@@ -612,18 +622,33 @@ func (s *Service) releaseDAGReady(id types.DAGID) {
 // --- external parents ---
 
 // externalResolveTTL bounds a cross-shard parent resolver's patience;
-// externalWaitChunk is each long-poll's hold.
+// externalWaitChunk is each long-poll's hold (a variable so tests can
+// shorten it), and externalWaitMargin what a request may take past it
+// before it is abandoned and retried.
+var externalWaitChunk = 30 * time.Second
+
 const (
 	externalResolveTTL = time.Hour
-	externalWaitChunk  = 30 * time.Second
+	externalWaitMargin = 2 * time.Second
 )
 
+// remoteTask reports a task id another shard owns.
+func (s *Service) remoteTask(id types.TaskID) bool {
+	return s.sharded() && !s.servesKey(shard.TaskKey(id))
+}
+
+// parentKey names one graph's journaled cross-shard parent outcome.
+func parentKey(dagID types.DAGID, id types.TaskID) string {
+	return string(dagID) + "/" + string(id)
+}
+
 // resolveExternalParent resolves one graph's dependency on a task
-// submitted outside the graph. Locally owned parents are read straight
-// from their record (or, when still running, left to the terminal
-// transition's graph step, which the submit path already registered
-// for). Parents owned by another shard get a resolver goroutine
-// long-polling the owner over the gateway.
+// submitted outside the graph. A locally owned parent is pinned to the
+// graph and read straight from its record (or, when still running, left
+// to the terminal transition's graph step, which the submit path
+// already registered for). A parent owned by another shard resolves
+// from its journaled outcome after a restart, and otherwise through a
+// resolver goroutine long-polling the owner over the gateway.
 func (s *Service) resolveExternalParent(dagID types.DAGID, key string) {
 	s.dagMu.Lock()
 	g := s.dags[dagID]
@@ -632,50 +657,75 @@ func (s *Service) resolveExternalParent(dagID types.DAGID, key string) {
 		return
 	}
 	n := g.Node(key)
-	if n == nil || n.State.Terminal() {
+	if n == nil || n.State.Terminal() || g.Done() {
 		s.dagMu.Unlock()
 		return
 	}
 	taskID, owner := n.TaskID, g.Owner
 	s.dagMu.Unlock()
 
-	if s.sharded() && !s.servesKey(shard.TaskKey(taskID)) {
+	if s.remoteTask(taskID) {
+		if value, ok := s.Store.Hash(dagParentsHash).Get(parentKey(dagID, taskID)); ok {
+			if res, err := wire.DecodeResult(value); err == nil {
+				s.applyParentResult(taskID, types.TerminalStatus(res.Lost, res.Failed()), value)
+				return
+			}
+		}
 		go s.pollExternalParent(dagID, key, taskID, owner)
 		return
 	}
-	rec, ok := s.record(taskID)
+	// The pin comes first, so a client read from here on leaves the
+	// record in the journal for a recovery to bind. A refused pin
+	// returns a foreign record's owner, or nothing at all.
+	rec, ok := s.transition(taskID, recordPin, change{owner: owner, dag: dagID})
+	s.dagMu.Lock()
+	finished := g.Done()
+	s.dagMu.Unlock()
 	switch {
-	case ok && rec.owner != owner:
+	case ok && finished:
+		// The graph finished meanwhile, and its unpins may have run
+		// before this pin: it binds nothing any more.
+		s.transition(taskID, recordUnpin, change{dag: dagID})
+	case !ok && rec.owner != "":
 		// Ownership: a graph may only consume its own user's tasks.
 		s.failExternalParent(dagID, key, taskID, "parent task not found")
-	case !ok:
+	case !ok || rec.hidden(time.Now()):
 		// Never submitted, or its result was already retrieved and
 		// purged: there is nothing left to bind.
+		if ok {
+			s.transition(taskID, recordUnpin, change{dag: dagID})
+		}
 		s.failExternalParent(dagID, key, taskID, "unknown parent task, or its output was already retrieved and purged")
 	case rec.result != nil:
-		if _, after := s.applyDAGResult(taskID, rec.status, "", rec.result); after != nil {
-			after()
-		}
+		s.applyParentResult(taskID, rec.status, rec.result)
 	default:
 		// Still running here: its terminal transition runs the graph
 		// step (the graph registered in dagByTask at submission).
 	}
 }
 
+// applyParentResult feeds a resolved external parent's encoded result
+// to every graph waiting on it.
+func (s *Service) applyParentResult(id types.TaskID, status types.TaskStatus, value []byte) {
+	if _, after := s.applyDAGResult(id, status, "", value); after != nil {
+		after()
+	}
+}
+
 // failExternalParent marks an external parent lost for one graph,
 // propagating the typed failure to its held children through the
-// ordinary completion machinery.
+// ordinary completion machinery. A finished graph, whose final state
+// is already journaled, is left as it is.
 func (s *Service) failExternalParent(dagID types.DAGID, key string, taskID types.TaskID, why string) {
 	s.dagMu.Lock()
 	g := s.dags[dagID]
-	if g == nil {
+	if g == nil || g.Done() {
 		s.dagMu.Unlock()
 		return
 	}
 	rels, fails, done := s.completeLocked(g, key, dag.Outcome{
 		Status: types.TaskLost, Err: fmt.Sprintf(`{"message":%q,"task_id":%q}`, why, taskID), At: time.Now(),
 	})
-	s.persistDAGLocked(g)
 	s.dropTaskRefLocked(taskID, dagID)
 	s.dagMu.Unlock()
 	var dones []dagDone
@@ -691,7 +741,8 @@ func (s *Service) failExternalParent(dagID types.DAGID, key string, taskID types
 // owner-scoped token (valid fleet-wide via the shared signing key), so
 // the resolver survives service restarts without any client
 // credential. The owner's wait purges the parent result there —
-// first-reader-wins, like any retrieval.
+// first-reader-wins, like any retrieval — so the result is journaled
+// here, once per waiting graph, before it is applied.
 func (s *Service) pollExternalParent(dagID types.DAGID, key string, taskID types.TaskID, owner types.UserID) {
 	token := s.Authority.Mint(owner, externalResolveTTL, auth.ScopeRun)
 	target := s.keyOwner(shard.TaskKey(taskID))
@@ -699,9 +750,15 @@ func (s *Service) pollExternalParent(dagID types.DAGID, key string, taskID types
 	for s.ctx.Err() == nil && time.Now().Before(deadline) {
 		res, retry := s.waitRemoteTask(target, token, taskID)
 		if res != nil {
-			if _, after := s.applyDAGResult(taskID, types.TerminalStatus(res.Lost, res.Failed()), "", wire.EncodeResult(res)); after != nil {
-				after()
+			value := wire.EncodeResult(res)
+			if s.Store.Persistent() {
+				s.dagMu.Lock()
+				for _, ref := range s.dagByTask[taskID] {
+					s.Store.Hash(dagParentsHash).Set(parentKey(ref.id, taskID), value)
+				}
+				s.dagMu.Unlock()
 			}
+			s.applyParentResult(taskID, types.TerminalStatus(res.Lost, res.Failed()), value)
 			return
 		}
 		if !retry {
@@ -722,7 +779,7 @@ func (s *Service) pollExternalParent(dagID types.DAGID, key string, taskID types
 // waitRemoteTask issues one blocking wait against the parent's owner
 // shard, returning the result when it landed, or retry=true when the
 // task is still pending (or the shard was unreachable, e.g.
-// mid-restart).
+// mid-restart, or did not answer within the wait plus a margin).
 func (s *Service) waitRemoteTask(target shard.Info, token string, id types.TaskID) (res *types.Result, retry bool) {
 	body, err := json.Marshal(api.WaitTasksRequest{
 		TaskIDs: []types.TaskID{id}, Wait: externalWaitChunk.String(),
@@ -730,7 +787,9 @@ func (s *Service) waitRemoteTask(target shard.Info, token string, id types.TaskI
 	if err != nil {
 		return nil, false
 	}
-	req, err := http.NewRequestWithContext(s.ctx, http.MethodPost,
+	ctx, cancel := context.WithTimeout(s.ctx, externalWaitChunk+externalWaitMargin)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		target.BaseURL+"/v1/tasks/wait", bytes.NewReader(body))
 	if err != nil {
 		return nil, false
@@ -764,223 +823,92 @@ func (s *Service) waitRemoteTask(target shard.Info, token string, id types.TaskI
 
 // --- crash recovery (called from recovery.go) ---
 
-// recoverDAGs rebuilds the in-memory graph table from the journal:
-// graph records from dagsHash, pending-edge routing in dagByTask, and
-// parent outputs (re-registering large ones in the dataref fabric,
-// which is runtime state the crash destroyed). Held and
-// claimed-but-unplaced nodes keep their pending records, which the
-// recovery sweep leaves to resumeDAGs.
-func (s *Service) recoverDAGs() {
+// recoverDAGs rebuilds the graph table in one pass once the forwarders
+// are up. A finished graph loads as its final entry. An unfinished one
+// loads as its shape, and each node's state comes from its task record,
+// which is pinned to the graph again:
+//   - no image: held, with its in-memory pending record recreated. It is
+//     released once every parent succeeded, and failed with the typed
+//     dependency error once any parent failed;
+//   - queued, dispatched or running: released, left to normal delivery;
+//   - terminal: its outcome is applied — output (a large one registered
+//     in the dataref fabric again), error, memoization and endpoint.
+//
+// External parents then resolve as at submission. The read marks and
+// cross-shard outcomes that a crash between a graph's finish entry and
+// its cleanup left behind are deleted.
+func (s *Service) recoverDAGs(marked []types.TaskID) {
 	dagsH := s.Store.Hash(dagsHash)
-	outs := s.Store.Hash(dagOutputsHash)
-	s.dagMu.Lock()
-	defer s.dagMu.Unlock()
 	for _, id := range dagsH.Keys() {
-		data, ok := dagsH.Get(id)
-		if !ok {
-			continue
-		}
+		data, _ := dagsH.Get(id)
 		g, err := wire.DecodeDAG(data)
 		if err != nil {
 			s.log.Warn("corrupt journaled dag record dropped", "dag_id", id, "err", err)
 			continue
 		}
-		for _, key := range g.Order {
-			n := g.Node(key)
-			if b, ok := outs.Get(string(n.TaskID)); ok {
-				if n.Ref != nil {
-					// Rebuild the dataref object from the journaled bytes;
-					// the inline output stays nil so re-bound envelopes are
-					// byte-identical to pre-crash ones (memo composition).
-					if ref, ok := s.putDataref(types.EndpointID(n.Ref.Endpoint), n.TaskID, b); ok {
-						*n.Ref = ref
-					} else {
-						n.Ref = nil
-						n.Output = b
-					}
-				} else {
-					n.Output = b
-				}
-			}
-			if !n.State.Terminal() {
-				s.dagByTask[n.TaskID] = append(s.dagByTask[n.TaskID], dagRef{id: g.ID, key: key})
-			}
-		}
+		s.dagMu.Lock()
 		s.dags[g.ID] = g
-		if g.Done() {
-			// A graph recovered already-terminal has no finishDAG ahead
-			// of it: stamp it now so the retention sweeper still evicts
-			// it one window after the restart.
+		finished := g.Done()
+		if finished {
+			// No finishDAG is ahead of it: stamp it now so the retention
+			// sweeper still evicts it one window after the restart.
 			s.dagDoneAt[g.ID] = time.Now()
 		}
-	}
-}
-
-// resumeDAGs re-drives every recovered graph after forwarders are up:
-// transitions whose results landed before the crash are re-applied,
-// claimed-but-unplaced nodes are re-released (or failed, typed, when a
-// parent had already failed), newly ready held nodes release, and
-// cross-shard parent resolvers respawn. In-flight released nodes are
-// left to the ordinary delivery path.
-func (s *Service) resumeDAGs() {
-	outs := s.Store.Hash(dagOutputsHash)
-	now := time.Now()
-
-	// Records of the released nodes are read before dagMu is taken
-	// (the lock order forbids record reads under it). A node released
-	// after this snapshot was claimed by a live completion, which
-	// places it itself, so the loop below leaves it alone.
-	released := make(map[types.TaskID]taskRecord)
-	s.dagMu.Lock()
-	for _, g := range s.dags {
-		for _, key := range g.Order {
-			if n := g.Node(key); !g.Done() && !n.External && n.State == dag.StateReleased {
-				released[n.TaskID] = taskRecord{}
+		s.dagMu.Unlock()
+		if finished {
+			for _, key := range g.Order {
+				if n := g.Node(key); s.remoteTask(n.TaskID) {
+					s.Store.Hash(dagParentsHash).Del(parentKey(g.ID, n.TaskID))
+				}
 			}
-		}
-	}
-	s.dagMu.Unlock()
-	for id := range released {
-		rec, _ := s.record(id)
-		released[id] = rec
-	}
-
-	type stale struct {
-		id     types.TaskID
-		status types.TaskStatus
-		value  []byte
-	}
-	var stales []stale
-	var rels []dagRelease
-	var fails []dagFail
-	var dones []dagDone
-	var externals []dagRef
-
-	s.dagMu.Lock()
-	for _, g := range s.dags {
-		if g.Done() {
 			continue
 		}
-		changed := false
+
+		// Records are read, and pinned, before dagMu is taken: the lock
+		// order forbids taking recMu under it.
+		recs := make(map[string]taskRecord, len(g.Order))
+		var externals []string
 		for _, key := range g.Order {
 			n := g.Node(key)
-			if n.External {
-				if !n.State.Terminal() {
-					externals = append(externals, dagRef{id: g.ID, key: key})
-				}
+			switch rec, ok := s.transition(n.TaskID, recordPin, change{owner: g.Owner, dag: g.ID}); {
+			case n.External:
+				externals = append(externals, key)
+			case !ok:
+				s.transition(n.TaskID, types.TaskPending, change{owner: g.Owner, dag: g.ID})
+			case rec.status != types.TaskPending:
+				recs[key] = rec
+			}
+		}
+		now := time.Now()
+		var rels []dagRelease
+		var fails []dagFail
+		var dones []dagDone
+		s.dagMu.Lock()
+		for key := range recs {
+			g.MarkReleased(key, now)
+		}
+		for _, key := range g.Order {
+			n := g.Node(key)
+			rec, ok := recs[key]
+			if !ok || !rec.status.Terminal() {
+				s.dagByTask[n.TaskID] = append(s.dagByTask[n.TaskID], dagRef{id: g.ID, key: key})
 				continue
 			}
-			id := string(n.TaskID)
-			// Resume decisions for live nodes; terminal states were
-			// skipped above.
-			//funcx:exhaustive funcx/internal/dag.State ignore=StateSuccess,StateFailed,StateLost
-			switch n.State {
-			case dag.StateReleased:
-				rec, snapped := released[n.TaskID]
-				switch {
-				case !snapped:
-					continue // claimed after the snapshot by a live completion
-				case rec.result != nil:
-					// The result landed pre-crash but the graph record
-					// missed the transition: re-apply it outside the lock
-					// through the ordinary completion path.
-					if refs := s.dagByTask[n.TaskID]; len(refs) > 0 {
-						stales = append(stales, stale{id: n.TaskID, status: rec.status, value: rec.result})
-					}
-					continue
-				case rec.status != "" && rec.status != types.TaskPending:
-					continue // in flight; normal delivery finishes it
-				}
-				if b, ok := outs.Get(id); ok {
-					// Output journaled but neither result nor transition
-					// survived: the node did succeed.
-					r, f, done := s.completeLocked(g, key, dag.Outcome{Status: types.TaskSuccess, Output: b, At: now})
-					rels, fails = append(rels, r...), append(fails, f...)
-					if done != nil {
-						dones = append(dones, *done)
-					}
-					changed = true
-					continue
-				}
-				// Claimed but never placed: re-drive from parent states.
-				if parent := failedDAGParent(g, n); parent != nil {
-					fails = append(fails, dagFail{
-						taskID: n.TaskID, owner: g.Owner, dep: true,
-						errJSON: dag.NewDependencyError(g.ID, dag.ChildFailure{
-							Key: key, TaskID: n.TaskID, Parent: parent.Key, ParentStatus: taskStatusOfState(parent.State),
-						}).JSON(),
-					})
-					changed = true
-				} else if rel, err := s.buildReleaseLocked(g, key); err == nil {
-					rels = append(rels, rel)
-				} else {
-					// Parents not all terminal yet (external still
-					// resolving): fall back to Held so the completion
-					// hook re-claims it when they land.
-					n.State = dag.StateHeld
-					n.ReleasedAt = time.Time{}
-					changed = true
-				}
-			case dag.StateHeld:
-				if g.Ready(key) {
-					g.MarkReleased(key, now)
-					if rel, err := s.buildReleaseLocked(g, key); err == nil {
-						rels = append(rels, rel)
-					} else {
-						fails = append(fails, dagFail{
-							taskID: n.TaskID, owner: g.Owner,
-							errJSON: fmt.Sprintf(`{"message":%q,"dag_id":%q}`, "dag binding failed: "+err.Error(), g.ID),
-						})
-					}
-					changed = true
-				} else if parent := failedDAGParent(g, n); parent != nil {
-					g.MarkReleased(key, now)
-					fails = append(fails, dagFail{
-						taskID: n.TaskID, owner: g.Owner, dep: true,
-						errJSON: dag.NewDependencyError(g.ID, dag.ChildFailure{
-							Key: key, TaskID: n.TaskID, Parent: parent.Key, ParentStatus: taskStatusOfState(parent.State),
-						}).JSON(),
-					})
-					changed = true
-				}
+			r, f, done := s.completeLocked(g, key, s.dagOutcome(n.TaskID, rec.status, rec.endpoint, rec.result))
+			rels, fails = append(rels, r...), append(fails, f...)
+			if done != nil {
+				dones = append(dones, *done)
 			}
 		}
-		if changed {
-			s.persistDAGLocked(g)
+		s.dagMu.Unlock()
+		s.executeDAGActions(rels, fails, dones)
+		for _, key := range externals {
+			s.resolveExternalParent(g.ID, key)
 		}
+		s.releaseDAGReady(g.ID)
 	}
-	s.dagMu.Unlock()
-
-	for _, st := range stales {
-		if _, after := s.applyDAGResult(st.id, st.status, "", st.value); after != nil {
-			after()
-		}
-	}
-	s.executeDAGActions(rels, fails, dones)
-	for _, ext := range externals {
-		s.resolveExternalParent(ext.id, ext.key)
-	}
-}
-
-// failedDAGParent returns a non-successful terminal parent of n, if any.
-func failedDAGParent(g *dag.Graph, n *dag.Node) *dag.Node {
-	for _, dep := range n.DependsOn {
-		if p := g.Node(dep); p != nil && p.State.Terminal() && p.State != dag.StateSuccess {
-			return p
-		}
-	}
-	return nil
-}
-
-// taskStatusOfState maps a terminal node state back to a task status.
-func taskStatusOfState(st dag.State) types.TaskStatus {
-	switch st {
-	case dag.StateLost:
-		return types.TaskLost
-	case dag.StateFailed:
-		return types.TaskFailed
-	default:
-		return types.TaskSuccess
+	for _, id := range marked {
+		s.transition(id, recordUnpin, change{})
 	}
 }
 

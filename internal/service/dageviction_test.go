@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -11,29 +10,25 @@ import (
 	"funcx/internal/auth"
 	"funcx/internal/dag"
 	"funcx/internal/types"
+	"funcx/internal/wire"
 )
 
-// finishedGraph registers a single-node terminal graph the way the
-// submit + completion paths would leave it: journaled in dagsHash,
-// present in the table, stamped by finishDAG.
-func finishedGraph(t *testing.T, svc *Service, i int) types.DAGID {
+// finishedGraph submits a single-node graph and lands its node, so
+// the graph is journaled by SubmitDAG (its shape) and again by
+// finishDAG (its final state), and stamped finished.
+func finishedGraph(t *testing.T, svc *Service, fnID types.FunctionID, epID types.EndpointID) types.DAGID {
 	t.Helper()
-	id := types.DAGID(fmt.Sprintf("dag-evict-%d", i))
-	g, err := dag.New(id, "alice", []dag.NodeSpec{{Key: "only"}}, time.Now())
+	id, tasks, _, err := svc.SubmitDAG("alice", []dag.NodeSpec{
+		{Key: "only", Spec: dag.TaskSpec{Function: fnID, Endpoint: epID}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.Node("only")
-	n.TaskID = types.TaskID(fmt.Sprintf("task-evict-%d", i))
-	g.MarkReleased("only", time.Now())
-	g.Complete("only", dag.Outcome{Status: types.TaskSuccess, At: time.Now()})
+	completeTask(svc, tasks["only"], []byte("out"))
 	svc.dagMu.Lock()
-	svc.dags[id] = g
 	// A residual routing ref, as a crash mid-completion can leave.
-	svc.dagByTask[n.TaskID] = append(svc.dagByTask[n.TaskID], dagRef{id: id, key: "only"})
-	svc.persistDAGLocked(g)
+	svc.dagByTask[tasks["only"]] = append(svc.dagByTask[tasks["only"]], dagRef{id: id, key: "only"})
 	svc.dagMu.Unlock()
-	svc.finishDAG(dagDone{id: id, owner: "alice", status: types.TaskSuccess})
 	return id
 }
 
@@ -42,7 +37,9 @@ func finishedGraph(t *testing.T, svc *Service, i int) types.DAGID {
 // in-memory table, their routing refs, and the journal; the eviction
 // counter advances; and GET /v1/dags/{id} answers 404 afterwards.
 func TestDAGRetentionBoundsGraphTable(t *testing.T) {
-	svc := New(Config{HeartbeatPeriod: 50 * time.Millisecond, DAGRetention: 10 * time.Millisecond})
+	svc, _, fnID, reg := durableFixtureWith(t, Config{
+		HeartbeatPeriod: 50 * time.Millisecond, DAGRetention: 10 * time.Millisecond, DataDir: t.TempDir(),
+	})
 	t.Cleanup(svc.Close)
 	srv := httptest.NewServer(svc)
 	t.Cleanup(srv.Close)
@@ -50,14 +47,20 @@ func TestDAGRetentionBoundsGraphTable(t *testing.T) {
 
 	const n = 8
 	ids := make([]types.DAGID, 0, n)
-	for i := range n {
-		ids = append(ids, finishedGraph(t, svc, i))
+	for range n {
+		ids = append(ids, finishedGraph(t, svc, fnID, reg.EndpointID))
 	}
 
-	// While inside the retention window the graphs stay queryable.
+	// While inside the retention window the graphs stay queryable, and
+	// journaled in their final state.
 	var status api.DAGStatusResponse
 	if code := doJSON(t, srv, token, "GET", "/v1/dags/"+string(ids[0]), nil, &status); code != http.StatusOK {
 		t.Fatalf("GET before eviction: %d", code)
+	}
+	if data, ok := svc.Store.Hash(dagsHash).Get(string(ids[0])); !ok {
+		t.Fatal("finished graph not journaled in dagsHash")
+	} else if g, err := wire.DecodeDAG(data); err != nil || !g.Done() {
+		t.Fatalf("journaled graph = %v (%v), want its final state", g, err)
 	}
 	if svc.sweepFinishedDAGs(time.Now().Add(-time.Hour)) != 0 {
 		t.Fatal("sweep evicted graphs still inside the retention window")

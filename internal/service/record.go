@@ -14,7 +14,10 @@
 // A record lives exactly as long as its result: purge-on-read
 // deletes it (or, with a retention window, marks it and lets
 // expireRecords drop it at the next pass), and a purged task is
-// unknown to every surface.
+// unknown to every surface. The one exception is a terminal record an
+// unfinished graph still binds (it is pinned): its purge hides it from
+// every surface but keeps it, in memory and in the journal as a read
+// mark, until the graph finishes and unpins it.
 package service
 
 import (
@@ -22,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"funcx/internal/trace"
@@ -32,11 +36,13 @@ import (
 // recordsHash journals each record's durable image on a WAL-backed
 // instance (field = task id, value = encodeRecord). It is the only
 // place a task is journaled, and only the moves recovery needs are:
-// submit/requeue/failover (queued, with the task frame), DAG hold
-// (pending), dispatched for an at-most-once task (which recovery must
-// not run twice), terminal (with the result) and purge (a delete).
-// Running, and dispatched for an at-least-once task, stay in memory:
-// recovery requeues such a task anyway.
+// submit/requeue/failover (queued, with the task frame), dispatched for
+// an at-most-once task (which recovery must not run twice), terminal
+// (with the result) and purge (a delete, or a read mark while a graph
+// pins the record). Running, and dispatched for an at-least-once task,
+// stay in memory: recovery requeues such a task anyway. So does a held
+// DAG node (pending): recovery reads a graph node with no image as
+// held and recreates its record from the graph's journaled shape.
 const recordsHash = "taskrec"
 
 // legacyTaskHashes held per-task state before the task record: owner,
@@ -48,10 +54,23 @@ var legacyTaskHashes = []string{"owners", "tasks", "status", "results"}
 // recordFormat leads every journaled record image.
 const recordFormat byte = 1
 
+// recordRead trails the image of a record that was read while a graph
+// still pinned it: recovery binds its result into the graph but never
+// serves it to a client.
+const recordRead byte = 1
+
 // recordGone is the transition target that ends a record's life: the
 // purge after a result was read or streamed, the rollback of a failed
 // enqueue, and a drain export. It publishes no event.
 const recordGone types.TaskStatus = ""
+
+// recordPin and recordUnpin add and drop one graph's pin (change.dag)
+// on a record. Neither changes the status or publishes; the last unpin
+// of a record that was already read ends its life.
+const (
+	recordPin   types.TaskStatus = "pin"
+	recordUnpin types.TaskStatus = "unpin"
+)
 
 // taskRecord is the service's one representation of a task.
 type taskRecord struct {
@@ -66,16 +85,33 @@ type taskRecord struct {
 	// the wire-encoded result once it is terminal.
 	task   []byte
 	result []byte
-	// retainUntil, once set, ends the in-memory grace window of a
-	// purged record whose durable image is already deleted.
+	// retainUntil, once set, marks the record read and ends its
+	// in-memory grace window.
 	retainUntil time.Time
+	// pins names the unfinished graphs that bind this task's output: its
+	// own graph for a node, each consuming graph for an external parent.
+	pins []types.DAGID
+}
+
+// hidden reports a read record past its grace window: gone for every
+// surface.
+func (rec taskRecord) hidden(now time.Time) bool {
+	return !rec.retainUntil.IsZero() && !now.Before(rec.retainUntil)
+}
+
+// bound reports a terminal record an unfinished graph may still bind
+// at recovery: its purge journals a read mark in place of the delete
+// and keeps the record, hidden, until the last unpin.
+func (rec taskRecord) bound() bool {
+	return len(rec.pins) > 0 && rec.status.Terminal()
 }
 
 // change carries what one transition writes besides the status.
 type change struct {
 	// owner is set only by the moves that create a record (submit,
 	// DAG hold, memo hit, handoff import, DAG failure); a creating move
-	// may also take over a held (pending) DAG record.
+	// may also take over a held (pending) DAG record, keeping its pins.
+	// A pin applies only to a record of this owner, when set.
 	owner types.UserID
 	// endpoint is the task's (new) home for queued or a creating move,
 	// and the reporting endpoint for dispatched/running, where a
@@ -86,7 +122,8 @@ type change struct {
 	// attempt older than the record's is stale (0 = unchecked).
 	attempt int
 	ts      time.Duration
-	// dag stamps the pending event of a held DAG node.
+	// dag stamps the pending event of a held DAG node and names the
+	// graph a hold, pin or unpin applies to.
 	dag types.DAGID
 	// task is the encoded task for queued; result the terminal outcome,
 	// encoded under the lock once the TS component is stamped.
@@ -124,21 +161,48 @@ func advances(from, to types.TaskStatus) bool {
 func (s *Service) transition(id types.TaskID, to types.TaskStatus, c change) (taskRecord, bool) {
 	s.recMu.Lock()
 	prev, exists := s.records[id]
-	if to == recordGone {
+	switch to {
+	case recordGone:
 		// The end of a record's life: its durable image goes at once, and
 		// with a retain window the in-memory record stays readable until
 		// expireRecords drops it (a record already inside its window
-		// keeps the first purge's deadline).
+		// keeps the first purge's deadline). A bound record turns into a
+		// read mark instead and stays, hidden, until its last unpin.
 		ok := exists && (c.retain <= 0 || prev.retainUntil.IsZero())
-		if ok && s.Store.Persistent() && prev.retainUntil.IsZero() {
+		first, keep := ok && prev.retainUntil.IsZero(), c.retain > 0 || prev.bound()
+		rec := prev
+		if first && keep {
+			rec.retainUntil = time.Now().Add(max(c.retain, 0))
+		}
+		if first && s.Store.Persistent() && prev.bound() {
+			s.Store.Hash(recordsHash).Set(string(id), encodeRecord(rec))
+		} else if first && s.Store.Persistent() {
 			s.Store.Hash(recordsHash).Del(string(id))
 		}
-		if ok && c.retain > 0 {
-			rec := prev
-			rec.retainUntil = time.Now().Add(c.retain)
+		if ok && keep {
 			s.records[id] = rec
 		} else if ok {
 			delete(s.records, id)
+		}
+		s.recMu.Unlock()
+		return prev, ok
+	case recordPin, recordUnpin:
+		ok := exists && (c.owner == "" || c.owner == prev.owner)
+		rec := prev
+		rec.pins = slices.DeleteFunc(slices.Clone(prev.pins), func(d types.DAGID) bool { return d == c.dag })
+		if to == recordPin {
+			rec.pins = append(rec.pins, c.dag)
+		}
+		// The last graph that could bind a read record let go: its read
+		// mark goes, and the record too once its window is over.
+		done := to == recordUnpin && !rec.retainUntil.IsZero() && len(rec.pins) == 0
+		if ok && done && s.Store.Persistent() {
+			s.Store.Hash(recordsHash).Del(string(id))
+		}
+		if ok && done && rec.hidden(time.Now()) {
+			delete(s.records, id)
+		} else if ok {
+			s.records[id] = rec
 		}
 		s.recMu.Unlock()
 		return prev, ok
@@ -153,7 +217,10 @@ func (s *Service) transition(id types.TaskID, to types.TaskStatus, c change) (ta
 	}
 	rec := prev
 	if c.owner != "" {
-		rec = taskRecord{owner: c.owner, endpoint: c.endpoint, ts: c.ts}
+		rec = taskRecord{owner: c.owner, endpoint: c.endpoint, ts: c.ts, pins: prev.pins}
+	}
+	if to == types.TaskPending {
+		rec.pins = []types.DAGID{c.dag}
 	}
 	rec.status = to
 	if to == types.TaskQueued {
@@ -171,7 +238,8 @@ func (s *Service) transition(id types.TaskID, to types.TaskStatus, c change) (ta
 		ev.DAGID, after = s.applyDAGResult(id, to, rec.endpoint, rec.result)
 	}
 	s.records[id] = rec
-	if s.Store.Persistent() && to != types.TaskRunning && (to != types.TaskDispatched || wire.TaskAtMostOnce(rec.task)) {
+	if s.Store.Persistent() && to != types.TaskRunning && to != types.TaskPending &&
+		(to != types.TaskDispatched || wire.TaskAtMostOnce(rec.task)) {
 		s.Store.Hash(recordsHash).Set(string(id), encodeRecord(rec))
 	}
 	s.publish(rec.owner, ev)
@@ -197,15 +265,16 @@ func (s *Service) record(id types.TaskID) (taskRecord, bool) {
 	s.recMu.Lock()
 	rec, ok := s.records[id]
 	s.recMu.Unlock()
-	if ok && !rec.retainUntil.IsZero() && time.Now().After(rec.retainUntil) {
+	if ok && rec.hidden(time.Now()) {
 		return taskRecord{}, false
 	}
 	return rec, ok
 }
 
 // TaskRecords reports how many task records the service holds: live
-// tasks, terminal tasks whose results were not yet read, and purged
-// ones still inside their retention window.
+// tasks, terminal tasks whose results were not yet read, purged ones
+// still inside their retention window, and read ones an unfinished
+// graph still binds.
 func (s *Service) TaskRecords() int {
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
@@ -213,7 +282,8 @@ func (s *Service) TaskRecords() int {
 }
 
 // expireRecords drops purged records whose retention window ended,
-// once a second (the store janitor's cadence).
+// once a second (the store janitor's cadence). A bound record waits for
+// its graph's unpin instead.
 func (s *Service) expireRecords() {
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
@@ -223,7 +293,7 @@ func (s *Service) expireRecords() {
 			var expired []types.TaskID
 			s.recMu.Lock()
 			for id, rec := range s.records {
-				if !rec.retainUntil.IsZero() && now.After(rec.retainUntil) {
+				if rec.hidden(now) && !rec.bound() {
 					expired = append(expired, id)
 				}
 			}
@@ -241,7 +311,8 @@ func (s *Service) expireRecords() {
 
 // encodeRecord frames a record's durable image: the format byte, the
 // attempt and TS as uvarints, then status, owner, endpoint, task frame
-// and result frame, each length-prefixed.
+// and result frame, each length-prefixed, and recordRead when the
+// record was read.
 func encodeRecord(rec taskRecord) []byte {
 	b := make([]byte, 0, 32+len(rec.status)+len(rec.owner)+len(rec.endpoint)+len(rec.task)+len(rec.result))
 	b = append(b, recordFormat)
@@ -251,7 +322,11 @@ func encodeRecord(rec taskRecord) []byte {
 	b = appendField(b, rec.owner)
 	b = appendField(b, rec.endpoint)
 	b = appendField(b, rec.task)
-	return appendField(b, rec.result)
+	b = appendField(b, rec.result)
+	if !rec.retainUntil.IsZero() {
+		b = append(b, recordRead)
+	}
+	return b
 }
 
 func appendField[S ~string | ~[]byte](b []byte, f S) []byte {
@@ -260,7 +335,7 @@ func appendField[S ~string | ~[]byte](b []byte, f S) []byte {
 }
 
 // decodeRecord parses a durable image. The task and result frames
-// alias data.
+// alias data; a read mark decodes as a record read just now.
 func decodeRecord(data []byte) (taskRecord, error) {
 	if len(data) == 0 || data[0] != recordFormat {
 		return taskRecord{}, fmt.Errorf("task record format %#x is not format %#x", data[:min(len(data), 1)], recordFormat)
@@ -294,30 +369,43 @@ func decodeRecord(data []byte) (taskRecord, error) {
 	if short {
 		return taskRecord{}, errors.New("truncated task record")
 	}
+	if len(b) > 0 && b[0] == recordRead {
+		rec.retainUntil = time.Now()
+	}
 	return rec, nil
 }
 
 // recoverRecords loads every journaled record image into s.records,
-// refusing a journal written before the task record existed.
-func (s *Service) recoverRecords() error {
+// refusing a journal written before the task record existed or while
+// DAG parent outputs were journaled a second time. It returns the ids
+// of read marks, which recoverDAGs re-pins or deletes.
+func (s *Service) recoverRecords() ([]types.TaskID, error) {
 	for _, name := range legacyTaskHashes {
 		if s.Store.Hash(name).Len() > 0 {
-			return fmt.Errorf("service: %s holds a pre-record task journal (per-task %q hashes); this version journals one %q record per task and does not read that format",
+			return nil, fmt.Errorf("service: %s holds a pre-record task journal (per-task %q hashes); this version journals one %q record per task and does not read that format",
 				s.cfg.DataDir, legacyTaskHashes, recordsHash)
 		}
 	}
+	if s.Store.Hash(legacyDAGOutputsHash).Len() > 0 {
+		return nil, fmt.Errorf("service: %s holds DAG parent outputs in a %q hash (the output-journal format); this version binds outputs from the %q records and does not read that format",
+			s.cfg.DataDir, legacyDAGOutputsHash, recordsHash)
+	}
 	h := s.Store.Hash(recordsHash)
 	recs := make(map[types.TaskID]taskRecord, h.Len())
+	var marked []types.TaskID
 	for _, id := range h.Keys() {
 		data, _ := h.Get(id)
 		rec, err := decodeRecord(data)
 		if err != nil {
-			return fmt.Errorf("service: journaled task record %s: %w", id, err)
+			return nil, fmt.Errorf("service: journaled task record %s: %w", id, err)
 		}
 		recs[types.TaskID(id)] = rec
+		if !rec.retainUntil.IsZero() {
+			marked = append(marked, types.TaskID(id))
+		}
 	}
 	s.recMu.Lock()
 	s.records = recs
 	s.recMu.Unlock()
-	return nil
+	return marked, nil
 }

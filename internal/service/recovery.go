@@ -2,16 +2,17 @@
 //
 // What the journal holds is the control plane's full word: registry
 // records (one JSON blob per record in "reg:<kind>" hashes), one task
-// record image per live or unread task (record.go), and each user's
-// newest event seq. A task is journaled only through its record:
-// queued at submit, requeue or failover, dispatched if it is
-// at-most-once, terminal with its result, and the delete of its purge.
+// record image per live or unread task (record.go), each graph's shape
+// or final state (dag.go), and each user's newest event seq. A task is
+// journaled only through its record: queued at submit, requeue or
+// failover, dispatched if it is at-most-once, terminal with its result,
+// and the delete of its purge (a read mark while a graph binds it).
 // What the journal deliberately does not hold is runtime state —
 // forwarders, agent connections, client secrets, the endpoint queues
-// and their leases, and the running step of a task record — which
-// recovery rebuilds or infers below. The sequence in
-// recoverRegistry/recoverRuntime runs inside Open, strictly before the
-// service accepts a request.
+// and their leases, the running step of a task record, held DAG nodes
+// and every graph's per-node progress — which recovery rebuilds or
+// infers below. The sequence in recoverRegistry/recoverRuntime runs
+// inside Open, strictly before the service accepts a request.
 package service
 
 import (
@@ -94,10 +95,10 @@ func recoverKind[T any](s *Service, kind string, put func(*T) error) error {
 // registry is recovered and before any background goroutine starts.
 func (s *Service) recoverRuntime() error {
 	// Task records first: every later step reads them.
-	if err := s.recoverRecords(); err != nil {
+	marked, err := s.recoverRecords()
+	if err != nil {
 		return err
 	}
-	s.recoverDAGs()
 
 	// Event numbering: seed each user's stream past the newest seq the
 	// dead process published, so recovery-side events cannot reuse a
@@ -123,10 +124,8 @@ func (s *Service) recoverRuntime() error {
 			return fmt.Errorf("service: restarting forwarder for endpoint %s: %w", ep.ID, err)
 		}
 	}
-	// Re-drive recovered graphs last: re-releases need live forwarders
-	// to place into, and transitions that landed pre-crash re-apply
-	// through the ordinary completion path.
-	s.resumeDAGs()
+	// Graphs last: their releases need live forwarders to place into.
+	s.recoverDAGs(marked)
 	return nil
 }
 
@@ -140,8 +139,8 @@ func (s *Service) recoverRuntime() error {
 //   - a record whose endpoint is not registered re-enters through the
 //     reclaim path (budget checks, at-most-once handling, failover).
 //
-// Held DAG nodes (pending) are left to resumeDAGs, and terminal records
-// keep their result until it is read.
+// Terminal records keep their result until it is read. A held DAG
+// node has no image: recoverDAGs recreates its record from the graph.
 func (s *Service) rebuildQueues(eps []*types.Endpoint) {
 	registered := make(map[types.EndpointID]bool, len(eps))
 	for _, ep := range eps {

@@ -240,7 +240,12 @@ func TestQueueEraJournalRefused(t *testing.T) {
 // silent agent stays connected for the length of a test.
 func durableFixture(t *testing.T, dir string) (*Service, Config, types.FunctionID, api.RegisterEndpointResponse) {
 	t.Helper()
-	cfg := Config{HeartbeatPeriod: time.Second, DataDir: dir}
+	return durableFixtureWith(t, Config{HeartbeatPeriod: time.Second, DataDir: dir})
+}
+
+// durableFixtureWith is durableFixture over a caller's config.
+func durableFixtureWith(t *testing.T, cfg Config) (*Service, Config, types.FunctionID, api.RegisterEndpointResponse) {
+	t.Helper()
 	svc, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)

@@ -278,7 +278,7 @@ type Service struct {
 	// recMu → dagMu → s.mu, and recMu → seqMu → store and event-bus
 	// locks. A terminal transition applies its graph step under recMu,
 	// so nothing may take recMu while holding dagMu; graph code reads
-	// records only outside dagMu (resumeDAGs snapshots them first).
+	// records only outside dagMu (resumeDAG reads them first).
 	recMu   sync.Mutex
 	records map[types.TaskID]taskRecord
 
@@ -491,9 +491,9 @@ func Open(cfg Config) (*Service, error) {
 	//funcx:ignore ctxflow Open mints the service's root lifetime context; there is no caller context at process start.
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	// Runtime recovery: load the task records, seed event numbering,
-	// rebuild the endpoint queues from the records,
-	// and restart a forwarder for every journaled endpoint — all
-	// before the first background goroutine or request can observe
+	// rebuild the endpoint queues from the records, restart a forwarder
+	// for every journaled endpoint and resume every graph — all before
+	// the first background goroutine or request can observe
 	// half-recovered state.
 	if s.Store.Recovered() {
 		if err := s.recoverRuntime(); err != nil {
@@ -873,13 +873,20 @@ const (
 	// string) so a recovered shard resumes numbering past every seq it
 	// ever handed a client as a Last-Event-ID.
 	eventSeqHash = "eventseq"
-	// dagsHash journals dependency-graph records (wire.EncodeDAG);
-	// dagOutputsHash retains each DAG parent's output bytes from the
-	// moment its result lands until its graph finishes, so a recovered
-	// service can re-bind pending edges (and re-register large outputs
-	// in the in-memory dataref fabric).
-	dagsHash       = "dags"
-	dagOutputsHash = "dagout"
+	// dagsHash journals each graph twice (wire.EncodeDAG, outputs
+	// never included): its shape at submit, before any node record
+	// exists, and its final node states at finish. Eviction deletes it.
+	// Between the two, recovery works out each node's state, and reads
+	// each parent's output, from the node's task record (dag.go).
+	dagsHash = "dags"
+	// dagParentsHash journals a cross-shard parent's resolved result
+	// once per waiting graph (field = graph id "/" task id), since the
+	// owner shard purged it on that read; the graph's finish deletes it.
+	dagParentsHash = "dagparent"
+	// legacyDAGOutputsHash held every DAG parent's output a second time
+	// until its graph finished. Open refuses a journal that still holds
+	// any (the output-journal format).
+	legacyDAGOutputsHash = "dagout"
 )
 
 // seqJournalStride coarsens event-seq persistence: instead of one
