@@ -8,7 +8,8 @@ import (
 
 // AnalyzerStatusGuard enforces the one-writer invariant of task
 // records in internal/service: only Service.transition may write the
-// record hash (`X.Hash(recordsHash).Set/SetTTL/Del`), write or delete
+// record hash (`X.Hash(recordsHash)` used other than for a direct
+// Get/Len/Keys, so a write through a held handle counts), write or delete
 // an entry of the in-memory record map (`X.records[k] = v`,
 // `delete(X.records, k)`), or publish a task lifecycle event
 // (`X.publish(...)`). transition applies each move under one lock, so
@@ -18,7 +19,7 @@ import (
 // (DAGRunning/DAGSuccess/DAGFailed) and is not tracked.
 //
 // The same rule keeps a graph journaled once: a write to the graph
-// journal (`X.Hash(dagsHash).Set/SetTTL/Del`) is allowed only at its
+// journal (`X.Hash(dagsHash)`, on the same terms) is allowed only at its
 // three sites — the shape at submit (SubmitDAG), the final state at
 // finish (finishDAG) and the delete at eviction (sweepFinishedDAGs) —
 // so no per-completion rewrite of the whole graph can come back.
@@ -68,6 +69,9 @@ func checkRecordWriters(pass *Pass, fn string, body *ast.BlockStmt) {
 		}
 		pass.Reportf(n.Pos(), "%s outside transition; task records and lifecycle events have one writer (Service.transition)", kind)
 	}
+	// used holds the tracked Hash calls already classified as the
+	// receiver of a method call; any other one is a handle kept for later.
+	used := make(map[ast.Expr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.FuncLit:
@@ -80,6 +84,17 @@ func checkRecordWriters(pass *Pass, fn string, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.CallExpr:
+			if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
+				if kind := trackedHash(sel.X); kind != "" {
+					used[sel.X] = true
+					if !slices.Contains(hashReads, sel.Sel.Name) {
+						report(e, kind+" "+sel.Sel.Name)
+					}
+				}
+			}
+			if kind := trackedHash(e); kind != "" && !used[e] {
+				report(e, kind+" handle")
+			}
 			if kind := trackedRecordCall(e); kind != "" {
 				report(e, kind)
 			}
@@ -88,39 +103,44 @@ func checkRecordWriters(pass *Pass, fn string, body *ast.BlockStmt) {
 	})
 }
 
+// hashReads are the store hash methods that leave a hash as it is.
+var hashReads = []string{"Get", "Len", "Keys"}
+
+// trackedHash classifies a `X.Hash(recordsHash)` or `X.Hash(dagsHash)`
+// call; it returns "" for any other expression.
+func trackedHash(e ast.Expr) string {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return ""
+	}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Hash" {
+		return ""
+	}
+	arg, _ := call.Args[0].(*ast.Ident)
+	switch {
+	case arg == nil:
+		return ""
+	case arg.Name == "recordsHash":
+		return "record-hash"
+	case arg.Name == "dagsHash":
+		return "graph-journal"
+	}
+	return ""
+}
+
 // isRecordsField matches the record map selector `X.records`.
 func isRecordsField(e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "records"
 }
 
-// trackedRecordCall classifies the tracked calls: a delete from the
-// record map, a Set/SetTTL/Del on the recordsHash or dagsHash hash, or
-// a lifecycle publish.
+// trackedRecordCall classifies the other tracked calls: a delete from
+// the record map, or a lifecycle publish.
 func trackedRecordCall(call *ast.CallExpr) string {
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && len(call.Args) == 2 && isRecordsField(call.Args[0]) {
 		return "record delete"
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	switch sel.Sel.Name {
-	case "Set", "SetTTL", "Del":
-		inner, ok := sel.X.(*ast.CallExpr)
-		if !ok || len(inner.Args) != 1 {
-			return ""
-		}
-		innerSel, ok := inner.Fun.(*ast.SelectorExpr)
-		if !ok || innerSel.Sel.Name != "Hash" {
-			return ""
-		}
-		if arg, ok := inner.Args[0].(*ast.Ident); ok && arg.Name == "recordsHash" {
-			return "record-hash " + sel.Sel.Name
-		} else if ok && arg.Name == "dagsHash" {
-			return "graph-journal " + sel.Sel.Name
-		}
-	case "publish":
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "publish" {
 		return "lifecycle publish"
 	}
 	return ""

@@ -4,8 +4,9 @@
 // goroutine launched from transition (the old goroutine under the
 // lock), in-memory record map writes, and publishDAG writing a record
 // — and graph-journal writes outside submit, finish and eviction: the
-// old per-completion rewrite from a completion helper, and a finish
-// site handing the write to a goroutine.
+// old per-completion rewrite from a completion helper (directly, and
+// through a held hash handle), a finish site handing the write to a
+// goroutine, and a record purge through a held handle.
 package service
 
 const (
@@ -18,6 +19,7 @@ type hashT struct{}
 func (hashT) Set(k string, v []byte)               {}
 func (hashT) SetTTL(k string, v []byte, ttl int64) {}
 func (hashT) Del(k string)                         {}
+func (hashT) Purge() int                           { return 0 }
 
 type storeT struct{}
 
@@ -68,4 +70,13 @@ func (s *Service) finishDAG(id string) {
 	go func() {
 		s.Store.Hash(dagsHash).Del(id) // want "graph-journal Del outside the submit, finish and eviction sites"
 	}()
+}
+
+func (s *Service) releaseDAGReady(id string) {
+	h := s.Store.Hash(dagsHash) // want "graph-journal handle outside the submit, finish and eviction sites"
+	h.Set(id, nil)
+}
+
+func (s *Service) expire(id string) {
+	s.Store.Hash(recordsHash).Purge() // want "record-hash Purge outside transition"
 }

@@ -16,6 +16,7 @@ type hashT struct{}
 func (hashT) Set(k string, v []byte)      {}
 func (hashT) Del(k string)                {}
 func (hashT) Get(k string) ([]byte, bool) { return nil, false }
+func (hashT) Keys() []string              { return nil }
 
 type storeT struct{}
 
@@ -58,12 +59,15 @@ func (s *Service) finishDAG(id string) {
 	s.Store.Hash(dagsHash).Set(id, nil)
 }
 
-func (s *Service) sweepFinishedDAGs(id string) {
-	s.Store.Hash(dagsHash).Del(id)
+func (s *Service) recoverDAGs(id string) {
+	for _, k := range s.Store.Hash(dagsHash).Keys() {
+		s.Store.Hash(dagsHash).Get(k)
+	}
 }
 
-func (s *Service) recoverDAGs(id string) {
-	s.Store.Hash(dagsHash).Get(id)
+func (s *Service) sweepFinishedDAGs(id string) {
+	h := s.Store.Hash(dagsHash)
+	h.Del(id)
 }
 
 func (s *Service) untracked(id string) {

@@ -149,15 +149,11 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 			s.transition(n.TaskID, types.TaskPending, change{owner: owner, dag: id})
 		}
 	}
-	var externals []string
 	s.dagMu.Lock()
 	s.dags[id] = g
 	for _, key := range g.Order {
 		n := g.Node(key)
 		s.dagByTask[n.TaskID] = append(s.dagByTask[n.TaskID], dagRef{id: id, key: key})
-		if n.External {
-			externals = append(externals, key)
-		}
 	}
 	s.dagMu.Unlock()
 	s.mu.Lock()
@@ -173,8 +169,10 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 	// which case the children release below), then the roots. Both may
 	// cascade synchronously through the memo cache: a fully memoized
 	// graph completes before this call returns.
-	for _, key := range externals {
-		s.resolveExternalParent(id, key)
+	for _, key := range g.Order {
+		if g.Node(key).External {
+			s.resolveExternalParent(id, key)
+		}
 	}
 	s.releaseDAGReady(id)
 
@@ -186,11 +184,9 @@ func (s *Service) SubmitDAG(owner types.UserID, specs []dag.NodeSpec) (types.DAG
 		}
 	}
 	s.dagMu.Unlock()
-	if len(memoized) > 0 {
-		s.mu.Lock()
-		s.dagMemoHits += int64(len(memoized))
-		s.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.dagMemoHits += int64(len(memoized))
+	s.mu.Unlock()
 	s.log.Info("dag submitted",
 		"dag_id", string(id), "owner", string(owner),
 		"nodes", len(tasks), "memoized", len(memoized))
@@ -823,24 +819,29 @@ func (s *Service) waitRemoteTask(target shard.Info, token string, id types.TaskI
 
 // --- crash recovery (called from recovery.go) ---
 
-// recoverDAGs rebuilds the graph table in one pass once the forwarders
-// are up. A finished graph loads as its final entry. An unfinished one
-// loads as its shape, and each node's state comes from its task record,
-// which is pinned to the graph again:
+// recoverDAGs rebuilds the graph table once the forwarders are up. A
+// finished graph loads as its final entry. An unfinished one loads as
+// its shape, and each node's state comes from its task record, pinned
+// to the graph again:
 //   - no image: held, with its in-memory pending record recreated. It is
 //     released once every parent succeeded, and failed with the typed
 //     dependency error once any parent failed;
 //   - queued, dispatched or running: released, left to normal delivery;
 //   - terminal: its outcome is applied — output (a large one registered
-//     in the dataref fabric again), error, memoization and endpoint.
+//     in the dataref fabric again), error, memoization and endpoint. A
+//     read mark counts too: the graph pinned the record before the read.
 //
-// External parents then resolve as at submission. The read marks and
-// cross-shard outcomes that a crash between a graph's finish entry and
-// its cleanup left behind are deleted.
+// A local external parent resolves from its record the same way. Every
+// graph is loaded and pinned before any action runs, so a graph chained
+// onto another graph's held node finds the recreated record, and no
+// graph's finish unpins a record that another still binds. Remote and
+// unknown external parents then resolve as at submission. The read
+// marks and cross-shard outcomes that a crash between a graph's finish
+// entry and its cleanup left behind are deleted.
 func (s *Service) recoverDAGs(marked []types.TaskID) {
-	dagsH := s.Store.Hash(dagsHash)
-	for _, id := range dagsH.Keys() {
-		data, _ := dagsH.Get(id)
+	var graphs []*dag.Graph
+	for _, id := range s.Store.Hash(dagsHash).Keys() {
+		data, _ := s.Store.Hash(dagsHash).Get(id)
 		g, err := wire.DecodeDAG(data)
 		if err != nil {
 			s.log.Warn("corrupt journaled dag record dropped", "dag_id", id, "err", err)
@@ -855,41 +856,52 @@ func (s *Service) recoverDAGs(marked []types.TaskID) {
 			s.dagDoneAt[g.ID] = time.Now()
 		}
 		s.dagMu.Unlock()
-		if finished {
-			for _, key := range g.Order {
-				if n := g.Node(key); s.remoteTask(n.TaskID) {
-					s.Store.Hash(dagParentsHash).Del(parentKey(g.ID, n.TaskID))
-				}
-			}
+		if !finished {
+			graphs = append(graphs, g)
 			continue
 		}
-
-		// Records are read, and pinned, before dagMu is taken: the lock
-		// order forbids taking recMu under it.
-		recs := make(map[string]taskRecord, len(g.Order))
-		var externals []string
 		for _, key := range g.Order {
-			n := g.Node(key)
-			switch rec, ok := s.transition(n.TaskID, recordPin, change{owner: g.Owner, dag: g.ID}); {
-			case n.External:
-				externals = append(externals, key)
-			case !ok:
-				s.transition(n.TaskID, types.TaskPending, change{owner: g.Owner, dag: g.ID})
-			case rec.status != types.TaskPending:
-				recs[key] = rec
+			if n := g.Node(key); s.remoteTask(n.TaskID) {
+				s.Store.Hash(dagParentsHash).Del(parentKey(g.ID, n.TaskID))
 			}
 		}
-		now := time.Now()
-		var rels []dagRelease
-		var fails []dagFail
-		var dones []dagDone
-		s.dagMu.Lock()
-		for key := range recs {
-			g.MarkReleased(key, now)
+	}
+
+	// Records are pinned before dagMu is taken (the lock order forbids
+	// taking recMu under it): every graph's own nodes first, recreating
+	// the held ones, then the local external parents.
+	recs := make(map[dagRef]taskRecord)
+	for _, external := range []bool{false, true} {
+		for _, g := range graphs {
+			for _, key := range g.Order {
+				n := g.Node(key)
+				if n.External != external || external && s.remoteTask(n.TaskID) {
+					continue
+				}
+				rec, ok := s.transition(n.TaskID, recordPin, change{owner: g.Owner, dag: g.ID})
+				if ok {
+					recs[dagRef{id: g.ID, key: key}] = rec
+				} else if !external {
+					s.transition(n.TaskID, types.TaskPending, change{owner: g.Owner, dag: g.ID})
+				}
+			}
+		}
+	}
+
+	now := time.Now()
+	var rels []dagRelease
+	var fails []dagFail
+	var dones []dagDone
+	s.dagMu.Lock()
+	for _, g := range graphs {
+		for _, key := range g.Order {
+			if rec, ok := recs[dagRef{id: g.ID, key: key}]; ok && !g.Node(key).External && rec.status != types.TaskPending {
+				g.MarkReleased(key, now)
+			}
 		}
 		for _, key := range g.Order {
 			n := g.Node(key)
-			rec, ok := recs[key]
+			rec, ok := recs[dagRef{id: g.ID, key: key}]
 			if !ok || !rec.status.Terminal() {
 				s.dagByTask[n.TaskID] = append(s.dagByTask[n.TaskID], dagRef{id: g.ID, key: key})
 				continue
@@ -900,10 +912,14 @@ func (s *Service) recoverDAGs(marked []types.TaskID) {
 				dones = append(dones, *done)
 			}
 		}
-		s.dagMu.Unlock()
-		s.executeDAGActions(rels, fails, dones)
-		for _, key := range externals {
-			s.resolveExternalParent(g.ID, key)
+	}
+	s.dagMu.Unlock()
+	s.executeDAGActions(rels, fails, dones)
+	for _, g := range graphs {
+		for _, key := range g.Order {
+			if _, ok := recs[dagRef{id: g.ID, key: key}]; !ok && g.Node(key).External {
+				s.resolveExternalParent(g.ID, key)
+			}
 		}
 		s.releaseDAGReady(g.ID)
 	}

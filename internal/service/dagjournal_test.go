@@ -210,6 +210,74 @@ func TestDAGUnplacedAndHeldChildrenResume(t *testing.T) {
 	}
 }
 
+// TestDAGReadExternalParentBindsAfterRestart: a chained task's local
+// parent, submitted outside the graph, is read while the graph waits on
+// a second parent. The graph pinned it first, so the journal keeps a
+// read mark, and after a restart the child still binds its output.
+func TestDAGReadExternalParentBindsAfterRestart(t *testing.T) {
+	svc, cfg, fnID, reg := durableFixture(t, t.TempDir())
+	sub := Submission{FunctionID: fnID, EndpointID: reg.EndpointID, Payload: []byte("x")}
+	parent, local := submitAt(t, svc, sub), submitAt(t, svc, sub)
+	child, _, _, err := svc.SubmitChained("alice", sub, []types.TaskID{parent, local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeTask(svc, parent, []byte("out-p"))
+	if res, err := svc.ResultFor(context.Background(), "alice", parent, 0); err != nil || string(res.Output) != "out-p" {
+		t.Fatalf("read parent = %+v, %v", res, err)
+	}
+	svc.Close()
+
+	svc2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer svc2.Close()
+	if _, err := svc2.Status(parent); err == nil {
+		t.Fatal("a read parent answers status after the restart")
+	}
+	completeTask(svc2, local, []byte("out-l"))
+	if got := boundInputs(t, svc2, child); got[string(parent)] != "out-p" || got[string(local)] != "out-l" {
+		t.Fatalf("child bound %v, want both parents' outputs", got)
+	}
+}
+
+// TestChainedOnHeldNodeSurvivesRestarts: a chained task depends on a
+// node still held in another graph. Whichever graph recovery loads
+// first, the held node's record is recreated before the chained graph
+// looks for it, so across several restarts the chained child stays
+// held and finally binds the node's output.
+func TestChainedOnHeldNodeSurvivesRestarts(t *testing.T) {
+	svc, cfg, fnID, reg := durableFixture(t, t.TempDir())
+	spec := dag.TaskSpec{Function: fnID, Endpoint: reg.EndpointID}
+	_, tasks, _, err := svc.SubmitDAG("alice", []dag.NodeSpec{
+		{Key: "r", Spec: spec}, {Key: "x", Spec: spec, DependsOn: []string{"r"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := Submission{FunctionID: fnID, EndpointID: reg.EndpointID, Payload: []byte("x")}
+	child, _, _, err := svc.SubmitChained("alice", sub, []types.TaskID{tasks["x"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 6 {
+		svc.Close()
+		if svc, err = Open(cfg); err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if st, err := svc.Status(child); err != nil || st != types.TaskPending {
+			t.Fatalf("chained child status = %s (%v), want %s", st, err, types.TaskPending)
+		}
+	}
+	defer svc.Close()
+	completeTask(svc, tasks["r"], []byte("out-r"))
+	completeTask(svc, tasks["x"], []byte("out-x"))
+	if got := boundInputs(t, svc, child); got[string(tasks["x"])] != "out-x" {
+		t.Fatalf("chained child bound %v, want x=out-x", got)
+	}
+}
+
 // TestSharedParentPinnedByConcurrentGraphs: graphs chained onto one
 // parent from several goroutines each pin its record. A read that
 // races their completions leaves at most a read mark, and the last

@@ -390,11 +390,10 @@ func (s *Service) recoverRecords() ([]types.TaskID, error) {
 		return nil, fmt.Errorf("service: %s holds DAG parent outputs in a %q hash (the output-journal format); this version binds outputs from the %q records and does not read that format",
 			s.cfg.DataDir, legacyDAGOutputsHash, recordsHash)
 	}
-	h := s.Store.Hash(recordsHash)
-	recs := make(map[types.TaskID]taskRecord, h.Len())
+	recs := make(map[types.TaskID]taskRecord, s.Store.Hash(recordsHash).Len())
 	var marked []types.TaskID
-	for _, id := range h.Keys() {
-		data, _ := h.Get(id)
+	for _, id := range s.Store.Hash(recordsHash).Keys() {
+		data, _ := s.Store.Hash(recordsHash).Get(id)
 		rec, err := decodeRecord(data)
 		if err != nil {
 			return nil, fmt.Errorf("service: journaled task record %s: %w", id, err)
